@@ -26,11 +26,13 @@
 //! configurations come back as typed [`SimError`]s (`L0250`–`L0253`,
 //! `L0230`, `L0233`) instead of panics.
 
+use std::sync::{Arc, OnceLock};
+
 use aladdin_accel::{
     try_schedule_prepared, DatapathConfig, DatapathMemory, IssueResult, PreparedDddg,
     SchedulerWorkspace, SpadMemory,
 };
-use aladdin_faults::{SimError, SimHarness};
+use aladdin_faults::{SimError, SimHarness, Watchdog};
 use aladdin_ir::{Diagnostic, Locus, Report, Trace};
 use aladdin_mem::{
     build_interconnect, BusFaults, DmaConfig, DmaDirection, DmaEngine, DmaTransfer, FlushSchedule,
@@ -43,10 +45,18 @@ use crate::engine::{report_error, FlowSpec};
 use crate::phase::PhaseBreakdown;
 
 /// One accelerator's workload in a multi-accelerator simulation.
+///
+/// The trace is shared: cloning a job (say, to shift its launch for the
+/// next point of a stagger sweep) copies a pointer, not the nodes. Clones
+/// also share a memo of the job's invariant work — its prepared DDDG and,
+/// for DMA jobs, its standalone compute schedule — filled by the first
+/// [`simulate_multi`] that needs it. The memo is keyed by (trace
+/// fingerprint, datapath, watchdog), so a clone whose pub fields were
+/// changed recomputes instead of reading a stale value.
 #[derive(Debug, Clone)]
 pub struct AcceleratorJob {
     /// The kernel trace this accelerator runs.
-    pub trace: Trace,
+    pub trace: Arc<Trace>,
     /// Its datapath configuration.
     pub datapath: DatapathConfig,
     /// Which memory system this accelerator uses — the same vocabulary as
@@ -57,36 +67,52 @@ pub struct AcceleratorJob {
     /// Explicit bus-client id; `None` registers the job-index master via
     /// [`MasterId::job`].
     pub master: Option<MasterId>,
+    memo: Arc<JobMemo>,
 }
 
 impl AcceleratorJob {
     /// A job of any [`MemKind`], launched at `launch_at`.
     #[must_use]
-    pub fn new(trace: Trace, datapath: DatapathConfig, kind: MemKind, launch_at: u64) -> Self {
+    pub fn new(
+        trace: impl Into<Arc<Trace>>,
+        datapath: DatapathConfig,
+        kind: MemKind,
+        launch_at: u64,
+    ) -> Self {
         AcceleratorJob {
-            trace,
+            trace: trace.into(),
             datapath,
             kind,
             launch_at,
             master: None,
+            memo: Arc::default(),
         }
     }
 
     /// A scratchpad/DMA job at optimization level `opt`.
     #[must_use]
-    pub fn dma(trace: Trace, datapath: DatapathConfig, opt: DmaOptLevel, launch_at: u64) -> Self {
+    pub fn dma(
+        trace: impl Into<Arc<Trace>>,
+        datapath: DatapathConfig,
+        opt: DmaOptLevel,
+        launch_at: u64,
+    ) -> Self {
         AcceleratorJob::new(trace, datapath, MemKind::Dma(opt), launch_at)
     }
 
     /// A cache-based job (TLB + cache fills over the shared bus).
     #[must_use]
-    pub fn cache(trace: Trace, datapath: DatapathConfig, launch_at: u64) -> Self {
+    pub fn cache(trace: impl Into<Arc<Trace>>, datapath: DatapathConfig, launch_at: u64) -> Self {
         AcceleratorJob::new(trace, datapath, MemKind::Cache, launch_at)
     }
 
     /// An isolated job (private scratchpads, no bus traffic).
     #[must_use]
-    pub fn isolated(trace: Trace, datapath: DatapathConfig, launch_at: u64) -> Self {
+    pub fn isolated(
+        trace: impl Into<Arc<Trace>>,
+        datapath: DatapathConfig,
+        launch_at: u64,
+    ) -> Self {
         AcceleratorJob::new(trace, datapath, MemKind::Isolated, launch_at)
     }
 
@@ -99,6 +125,81 @@ impl AcceleratorJob {
 
     fn resolved_master(&self, index: usize) -> Option<MasterId> {
         self.master.or_else(|| MasterId::job(index))
+    }
+
+    /// This job's invariant work under `watchdog`: the shared memo when
+    /// its key still matches the job's fields, a fresh computation
+    /// otherwise.
+    fn work(&self, watchdog: &Watchdog) -> Arc<JobWork> {
+        let key = WorkKey {
+            fingerprint: self.trace.fingerprint(),
+            datapath: self.datapath,
+            watchdog: *watchdog,
+        };
+        let memo = self
+            .memo
+            .0
+            .get_or_init(|| Arc::new(JobWork::new(&self.trace, key)));
+        if memo.key == key {
+            Arc::clone(memo)
+        } else {
+            Arc::new(JobWork::new(&self.trace, key))
+        }
+    }
+}
+
+/// The memo cell [`AcceleratorJob`] clones share; filled on first use.
+#[derive(Debug, Default)]
+struct JobMemo(OnceLock<Arc<JobWork>>);
+
+/// Everything a job's invariant work depends on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WorkKey {
+    fingerprint: u128,
+    datapath: DatapathConfig,
+    watchdog: Watchdog,
+}
+
+/// A job's work that no point-level axis changes. Stagger, topology, bus
+/// width, background traffic and the fault plan all act on the shared
+/// bus; none of them reach the DDDG or a DMA job's standalone compute
+/// schedule, which runs from cycle 0 on private scratchpads that no fault
+/// site arms.
+#[derive(Debug)]
+struct JobWork {
+    key: WorkKey,
+    prep: PreparedDddg,
+    /// A DMA job's standalone compute cycles; filled by its first
+    /// successful schedule.
+    standalone: OnceLock<u64>,
+}
+
+impl JobWork {
+    fn new(trace: &Trace, key: WorkKey) -> Self {
+        JobWork {
+            key,
+            prep: PreparedDddg::new(trace, &key.datapath),
+            standalone: OnceLock::new(),
+        }
+    }
+
+    /// Compute duration from a standalone schedule (private scratchpads,
+    /// no bus interaction) under the key's watchdog.
+    fn standalone_cycles(
+        &self,
+        trace: &Trace,
+        ws: &mut SchedulerWorkspace,
+    ) -> Result<u64, SimError> {
+        if let Some(&cycles) = self.standalone.get() {
+            return Ok(cycles);
+        }
+        let dp = &self.key.datapath;
+        let mut spad = SpadMemory::new(trace, dp);
+        let cycles =
+            try_schedule_prepared(trace, dp, &self.prep, ws, &mut spad, 0, &self.key.watchdog)?
+                .cycles;
+        let _ = self.standalone.set(cycles);
+        Ok(cycles)
     }
 }
 
@@ -569,14 +670,14 @@ pub fn simulate_multi(
     if let Some((ci, cmaster)) = cache_job {
         let job = &jobs[ci];
         let t0 = job.launch_at + soc.invoke_cycles;
-        let prep = PreparedDddg::new(&job.trace, &job.datapath);
+        let work = job.work(&harness.watchdog);
         let mut client = CacheClient::new(&job.trace, &job.datapath, soc, cmaster);
         client.set_faults(&harness.plan);
         let mut mem = MultiMemory { client, world };
         let sched = match try_schedule_prepared(
             &job.trace,
             &job.datapath,
-            &prep,
+            &work.prep,
             &mut ws,
             &mut mem,
             t0,
@@ -687,12 +788,12 @@ fn setup_isolated(
     ws: &mut SchedulerWorkspace,
 ) -> Result<JobState, SimError> {
     let t0 = job.launch_at + soc.invoke_cycles;
-    let prep = PreparedDddg::new(&job.trace, &job.datapath);
+    let work = job.work(&harness.watchdog);
     let mut spad = SpadMemory::new(&job.trace, &job.datapath);
     let sched = try_schedule_prepared(
         &job.trace,
         &job.datapath,
-        &prep,
+        &work.prep,
         ws,
         &mut spad,
         t0,
@@ -765,20 +866,9 @@ fn setup_dma(
     let mut engine = DmaEngine::new(dma_cfg, &in_transfers, &eligibility);
     engine.set_master(master);
 
-    // Compute duration from a standalone schedule (private scratchpads,
-    // no bus interaction), under the same watchdog.
-    let prep = PreparedDddg::new(&job.trace, &job.datapath);
-    let mut spad = SpadMemory::new(&job.trace, &job.datapath);
-    let compute_cycles = try_schedule_prepared(
-        &job.trace,
-        &job.datapath,
-        &prep,
-        ws,
-        &mut spad,
-        0,
-        &harness.watchdog,
-    )?
-    .cycles;
+    let compute_cycles = job
+        .work(&harness.watchdog)
+        .standalone_cycles(&job.trace, ws)?;
 
     let out_transfers: Vec<DmaTransfer> = job
         .trace

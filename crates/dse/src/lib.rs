@@ -58,9 +58,10 @@ pub use preflight::{preflight_cache, preflight_dma, Preflight, RejectedPoint};
 pub use scenario::{run_codesign, CodesignReport, ScenarioOutcome};
 pub use space::{CachePoint, DesignSpace, DmaPoint};
 pub use sweep::{
-    sweep, sweep_checked, sweep_faulted, sweep_perf, sweep_points, sweep_points_source,
-    sweep_points_source_streaming, sweep_points_streaming, sweep_points_streaming_pruned,
-    CheckedSweep, FailedPoint, PointOutcome, PointSpec, PrunedPoint, SweepOutcome,
+    parallel_map, sweep, sweep_checked, sweep_faulted, sweep_perf, sweep_points,
+    sweep_points_source, sweep_points_source_streaming, sweep_points_streaming,
+    sweep_points_streaming_pruned, CheckedSweep, FailedPoint, PointOutcome, PointSpec, PrunedPoint,
+    SweepOutcome,
 };
 #[allow(deprecated)]
 pub use sweep::{

@@ -42,11 +42,13 @@ use crate::perf::{record_global, SweepPerf};
 use crate::preflight::{preflight_cache, preflight_dma, RejectedPoint};
 use crate::space::DesignSpace;
 
-/// Run `job` once per index in `0..n` across all available cores. Each
-/// worker owns a state built by `init` (scheduler workspaces, here).
-/// Results land in pre-allocated per-index slots — no lock on the result
-/// path, no final sort.
-fn parallel_map<T, S, I, F>(n: usize, init: I, job: F) -> Vec<T>
+/// Run `job` once per index in `0..n` across all available cores — the
+/// pool every sweep runs on. Each worker owns a state built by `init`
+/// (scheduler workspaces, in the sweeps). Indices are claimed in order,
+/// so a `job` that reports as it finishes reports in completion order;
+/// results land in pre-allocated per-index slots — no lock on the result
+/// path, no final sort — and come back in index order.
+pub fn parallel_map<T, S, I, F>(n: usize, init: I, job: F) -> Vec<T>
 where
     T: Send + Sync,
     S: Send,

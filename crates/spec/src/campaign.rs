@@ -14,13 +14,15 @@
 //! ill-typed values, `L0262` unknown kernel/memory/preset names, `L0263`
 //! empty or fully-rejected campaigns, `L0264` expansion summaries (info).
 
+use std::sync::Arc;
+
 use aladdin_accel::{DatapathConfig, LaneSync};
 use aladdin_core::{
     AcceleratorJob, FaultPlan, MasterId, MemKind, SimHarness, SocConfig, Topology, TrafficConfig,
     Watchdog,
 };
 use aladdin_dse::{DesignSpace, PointSpec};
-use aladdin_ir::{Diagnostic, Locus, Report};
+use aladdin_ir::{Diagnostic, Locus, Report, Trace};
 use aladdin_lint::lint_design;
 use aladdin_mem::Clock;
 use aladdin_workloads::by_name;
@@ -377,17 +379,21 @@ impl JobSpec {
         }
     }
 
-    fn build(&self, base_dp: DatapathConfig, extra_launch: u64) -> AcceleratorJob {
+    fn trace(&self) -> Trace {
+        by_name(&self.kernel)
+            .expect("validated kernel name")
+            .run()
+            .trace
+    }
+
+    /// This entry as a job running `trace`, launched at its declared cycle.
+    fn job(&self, trace: Arc<Trace>, base_dp: DatapathConfig) -> AcceleratorJob {
         let dp = DatapathConfig {
             lanes: self.lanes.unwrap_or(base_dp.lanes),
             partition: self.partition.unwrap_or(base_dp.partition),
             ..base_dp
         };
-        let trace = by_name(&self.kernel)
-            .expect("validated kernel name")
-            .run()
-            .trace;
-        let mut job = AcceleratorJob::new(trace, dp, self.mem, self.launch + extra_launch);
+        let mut job = AcceleratorJob::new(trace, dp, self.mem, self.launch);
         if let Some(m) = self.master {
             job = job.with_master(MasterId(m));
         }
@@ -852,6 +858,7 @@ impl CampaignSpec {
 
         let mut points = Vec::new();
         let mut rejected = 0usize;
+        let mut traces = Vec::new();
         if self.jobs.is_empty() {
             let space = self.space.design_space();
             let dma_points = space.dma_points();
@@ -941,13 +948,16 @@ impl CampaignSpec {
             } else {
                 vec![soc.topology.topology]
             };
-            // Launch offsets do not change the static job-set checks, and
-            // every count is a prefix of the full job list, so one
-            // validation pass per platform variant (at the largest count)
-            // covers all of its points. Topology is the outermost axis,
-            // then bus width, then count, then stagger — the same
-            // outermost-to-innermost order the sweep branch uses.
-            let jobs = build_jobs(&self.jobs, base_dp, staggers[0]);
+            // Each kernel is traced once here; the plan keeps the traces
+            // so no point traces again. Launch offsets do not change the
+            // static job-set checks, and every count is a prefix of the
+            // full job list, so one validation pass per platform variant
+            // (at the largest count) covers all of its points. Topology
+            // is the outermost axis, then bus width, then count, then
+            // stagger — the same outermost-to-innermost order the sweep
+            // branch uses.
+            traces = self.jobs.iter().map(|j| Arc::new(j.trace())).collect();
+            let jobs = job_set(&self.jobs, &traces, base_dp).jobs;
             let max_count = counts.iter().copied().max().unwrap_or(jobs.len());
             for &topology in &topologies {
                 for &width in &widths {
@@ -1011,18 +1021,44 @@ impl CampaignSpec {
             points,
             rejected,
             report,
+            traces,
         })
     }
 }
 
-/// Build concrete jobs for one stagger value: job `i` launches at its
-/// declared cycle plus `i × stagger`.
-fn build_jobs(specs: &[JobSpec], base_dp: DatapathConfig, stagger: u64) -> Vec<AcceleratorJob> {
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, j)| j.build(base_dp, stagger * i as u64))
-        .collect()
+/// Fresh jobs for `specs` over their traced kernels.
+fn job_set(specs: &[JobSpec], traces: &[Arc<Trace>], base_dp: DatapathConfig) -> JobSet {
+    JobSet {
+        jobs: specs
+            .iter()
+            .zip(traces)
+            .map(|(spec, trace)| spec.job(Arc::clone(trace), base_dp))
+            .collect(),
+    }
+}
+
+/// A job-set campaign's jobs at their declared launches. Every point
+/// takes clones, which share the traces and each job's memo of
+/// invariant work, so one set scopes that reuse to whoever holds it.
+pub(crate) struct JobSet {
+    jobs: Vec<AcceleratorJob>,
+}
+
+impl JobSet {
+    /// The first `count` jobs for one stagger value: job `i` launches at
+    /// its declared cycle plus `i × stagger`.
+    pub(crate) fn at(&self, stagger: u64, count: usize) -> Vec<AcceleratorJob> {
+        self.jobs
+            .iter()
+            .take(count)
+            .enumerate()
+            .map(|(i, j)| {
+                let mut job = j.clone();
+                job.launch_at += stagger * i as u64;
+                job
+            })
+            .collect()
+    }
 }
 
 /// A campaign expanded to its concrete, ordered point list. Point order
@@ -1046,13 +1082,24 @@ pub struct CampaignPlan {
     pub rejected: usize,
     /// Validation findings (info summary included).
     pub report: Report,
+    /// The `[[jobs]]` kernels, traced once by `expand` (empty for sweep
+    /// campaigns).
+    traces: Vec<Arc<Trace>>,
 }
 
 impl CampaignPlan {
-    /// The concrete jobs of a job-set point at `stagger`.
+    /// The concrete jobs of a job-set point at `stagger`. They share the
+    /// plan's traces but start with empty work memos, so each call pays
+    /// its own DDDG preparation and standalone DMA schedules.
     #[must_use]
     pub fn jobs_at(&self, stagger: u64) -> Vec<AcceleratorJob> {
-        build_jobs(&self.spec.jobs, self.base_dp, stagger)
+        self.job_set().at(stagger, self.traces.len())
+    }
+
+    /// Fresh jobs for one run: the points that clone them from one set
+    /// reuse each other's invariant per-job work.
+    pub(crate) fn job_set(&self) -> JobSet {
+        job_set(&self.spec.jobs, &self.traces, self.base_dp)
     }
 }
 

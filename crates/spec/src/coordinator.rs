@@ -46,13 +46,14 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use aladdin_core::{simulate_multi, SimError, TraceSource};
 use aladdin_dse::{sweep_points_source_streaming, sweep_points_streaming, SweepPerf};
 use aladdin_ir::{Diagnostic, Report};
 
-use crate::campaign::{CampaignPlan, PlannedPoint};
+use crate::campaign::{CampaignPlan, JobSet, PlannedPoint};
 use crate::runner::{
     classify_line, json_field_str, json_string, materialize_trace, multi_record, point_prefix,
     quarantine_path, scan_journal, single_record, write_quarantine, LineClass, JOURNAL_VERSION,
@@ -190,9 +191,11 @@ fn header_line(plan: &CampaignPlan, worker: Option<&str>) -> String {
 }
 
 /// Create the coordination directory (idempotent) and verify `meta.json`
-/// names this campaign. The first arrival writes the meta atomically via
-/// `create_new`; everyone else checks the digest, so workers can never
-/// interleave two different campaigns in one directory.
+/// names this campaign. Every arrival writes the header to a private
+/// temp file and publishes it with a hard link, which fails if
+/// `meta.json` already exists: the first arrival wins, and nobody can
+/// read a half-written meta. Everyone else checks the digest, so workers
+/// can never interleave two different campaigns in one directory.
 fn init_dir(plan: &CampaignPlan, dir: &Path) -> Result<(), Report> {
     for d in [
         dir.to_path_buf(),
@@ -203,18 +206,24 @@ fn init_dir(plan: &CampaignPlan, dir: &Path) -> Result<(), Report> {
         std::fs::create_dir_all(&d)
             .map_err(|e| coord_err("L0266", format!("cannot create {}: {e}", d.display())))?;
     }
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let meta = meta_path(dir);
-    match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&meta)
-    {
-        Ok(mut f) => {
-            writeln!(f, "{}", header_line(plan, None))
-                .map_err(|e| coord_err("L0266", format!("cannot write campaign meta: {e}")))?;
-            Ok(())
-        }
-        Err(_) => verify_meta(plan, dir),
+    let tmp = dir.join(format!(
+        "meta.json.{}.{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&tmp, format!("{}\n", header_line(plan, None)))
+        .map_err(|e| coord_err("L0266", format!("cannot write campaign meta: {e}")))?;
+    let published = std::fs::hard_link(&tmp, &meta);
+    let _ = std::fs::remove_file(&tmp);
+    match published {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => verify_meta(plan, dir),
+        Err(e) => Err(coord_err(
+            "L0266",
+            format!("cannot publish {}: {e}", meta.display()),
+        )),
     }
 }
 
@@ -344,6 +353,7 @@ fn try_claim(cfg: &WorkerConfig, index: usize) -> Claim {
 fn execute_point(
     plan: &CampaignPlan,
     index: usize,
+    jobs: &JobSet,
     trace_memo: &mut Option<(String, aladdin_ir::Trace)>,
     perf: &mut SweepPerf,
 ) -> (String, Option<SimError>) {
@@ -384,8 +394,7 @@ fn execute_point(
             count,
             soc,
         } => {
-            let jobs = plan.jobs_at(*stagger);
-            let result = simulate_multi(&jobs[..*count], soc, &plan.harness);
+            let result = simulate_multi(&jobs.at(*stagger, *count), soc, &plan.harness);
             let line = multi_record(index, *stagger, *count, soc, &result);
             let err = result.err();
             (line, err)
@@ -574,6 +583,8 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
     beat(&cfg.dir, &cfg.worker);
 
     let mut trace_memo: Option<(String, aladdin_ir::Trace)> = None;
+    // One job set per worker call: its job-set points share per-job work.
+    let jobs = plan.job_set();
     loop {
         tracker.refresh();
         if tracker.finished.len() >= plan.points.len() {
@@ -621,7 +632,8 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
 
             let mut attempt = 0u32;
             let line = loop {
-                let (line, err) = execute_point(plan, index, &mut trace_memo, &mut summary.perf);
+                let (line, err) =
+                    execute_point(plan, index, &jobs, &mut trace_memo, &mut summary.perf);
                 match err {
                     Some(e) if e.is_transient() && attempt < cfg.max_retries => {
                         let backoff = backoff_for(cfg, attempt);

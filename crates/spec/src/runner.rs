@@ -22,8 +22,8 @@ use std::sync::Mutex;
 
 use aladdin_core::{simulate_multi, FlowResult, MemKind, SimError, TraceSource, Watchdog};
 use aladdin_dse::{
-    sweep_points_source_streaming, sweep_points_streaming, sweep_points_streaming_pruned,
-    PointOutcome, PointSpec, PrunedPoint,
+    parallel_map, sweep_points_source_streaming, sweep_points_streaming,
+    sweep_points_streaming_pruned, PointOutcome, PointSpec, PrunedPoint,
 };
 use aladdin_ir::{Diagnostic, Report};
 use aladdin_lint::BoundsSummary;
@@ -113,9 +113,14 @@ pub(crate) fn materialize_trace(kernel: &str) -> aladdin_ir::Trace {
 /// Single points of one kernel run through the multithreaded
 /// [`sweep_points_streaming`] fast path (shared prepared DDDGs, result
 /// cache when the harness is inert); records are written in completion
-/// order. Multi-accelerator points run sequentially. Results are
-/// bit-identical to calling the underlying engines directly — the journal
-/// is a log, not a different code path.
+/// order. Multi-accelerator points run on the same worker pool
+/// ([`parallel_map`]), also journaled in completion order. They clone
+/// one set of jobs made for this call, so each job's kernel is traced
+/// once (by [`CampaignSpec::expand`](crate::CampaignSpec::expand)) and
+/// its DDDG preparation and standalone DMA compute schedule are computed
+/// once per call, not once per point. Results are bit-identical to
+/// calling the underlying engines directly — the journal is a log, not a
+/// different code path.
 ///
 /// # Errors
 ///
@@ -178,6 +183,7 @@ pub fn run_campaign(
     let mut failed = 0usize;
     let mut ran = 0usize;
     let mut pruned = 0usize;
+    let jobs = plan.job_set();
 
     // Group contiguous runs of single points by kernel so each kernel's
     // trace is generated once and its points share the sweep fast path.
@@ -268,19 +274,32 @@ pub fn run_campaign(
                     ran += results.len();
                 }
             }
-            PlannedPoint::Multi {
-                stagger,
-                count,
-                soc,
-            } => {
-                let jobs = plan.jobs_at(*stagger);
-                let result = simulate_multi(&jobs[..*count], soc, &plan.harness);
-                if result.is_err() {
-                    failed += 1;
+            PlannedPoint::Multi { .. } => {
+                let start = i;
+                while i < todo.len() && matches!(plan.points[todo[i]], PlannedPoint::Multi { .. }) {
+                    i += 1;
                 }
-                write_line(multi_record(index, *stagger, *count, soc, &result));
-                ran += 1;
-                i += 1;
+                let group = &todo[start..i];
+                let errors = parallel_map(
+                    group.len(),
+                    || (),
+                    |g, ()| {
+                        let index = group[g];
+                        let PlannedPoint::Multi {
+                            stagger,
+                            count,
+                            soc,
+                        } = &plan.points[index]
+                        else {
+                            unreachable!("grouped job-set points")
+                        };
+                        let result = simulate_multi(&jobs.at(*stagger, *count), soc, &plan.harness);
+                        write_line(multi_record(index, *stagger, *count, soc, &result));
+                        result.is_err()
+                    },
+                );
+                failed += errors.iter().filter(|&&e| e).count();
+                ran += group.len();
             }
         }
     }
@@ -900,6 +919,130 @@ partitions = [1]
             end_of[&("shared-bus".to_owned(), 64, 4)] <= end_of[&("shared-bus".to_owned(), 32, 4)],
             "doubling the shared-bus width must not slow the loaded SoC"
         );
+        let _ = std::fs::remove_file(&journal);
+    }
+
+    /// A small job-set campaign: 2 fabrics × 3 staggers, with `faults`
+    /// appended as its `[faults]` section.
+    fn job_set_plan(faults: &str) -> CampaignPlan {
+        CampaignSpec::from_toml(&format!(
+            r#"
+name = "runner-job-set"
+stagger = [0, 150, 400]
+
+[space]
+topologies = ["shared-bus", "crossbar:4"]
+
+[datapath]
+lanes = 2
+partition = 2
+
+[[jobs]]
+kernel = "aes-aes"
+mem = "dma:full"
+
+[[jobs]]
+kernel = "stencil-stencil2d"
+mem = "dma:pipelined"
+
+[faults]
+{faults}
+"#
+        ))
+        .expect("parses")
+        .expand()
+        .expect("expands")
+    }
+
+    /// Every point rendered serially, one plain `simulate_multi` each.
+    fn serial_records(plan: &CampaignPlan) -> Vec<String> {
+        let mut records: Vec<String> = plan
+            .points
+            .iter()
+            .enumerate()
+            .map(|(index, p)| {
+                let PlannedPoint::Multi {
+                    stagger,
+                    count,
+                    soc,
+                } = p
+                else {
+                    panic!("job-set campaign yields multi points");
+                };
+                let jobs = plan.jobs_at(*stagger);
+                let result = simulate_multi(&jobs[..*count], soc, &plan.harness);
+                multi_record(index, *stagger, *count, soc, &result)
+            })
+            .collect();
+        records.sort();
+        records
+    }
+
+    fn sorted_records(journal: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(journal).expect("journal readable");
+        let mut records: Vec<String> = text.lines().skip(1).map(str::to_owned).collect();
+        records.sort();
+        records
+    }
+
+    #[test]
+    fn parallel_job_set_journal_matches_serial_rendering() {
+        let plan = job_set_plan("");
+        let journal = temp_path("job-set-parallel");
+        let summary = run_campaign(&plan, &journal, &RunOptions::default()).expect("runs");
+        assert_eq!(summary.ran, 6);
+        assert_eq!(summary.failed, 0);
+        assert!(summary.complete());
+        // One record per point, each equal to a serial rendering.
+        assert_eq!(sorted_records(&journal), serial_records(&plan));
+        let _ = std::fs::remove_file(&journal);
+    }
+
+    #[test]
+    fn parallel_job_set_accounts_for_every_failure() {
+        let plan = job_set_plan("max_cycles = 5");
+        let journal = temp_path("job-set-failing");
+        let summary = run_campaign(&plan, &journal, &RunOptions::default()).expect("runs");
+        assert_eq!(summary.ran, 6);
+        assert_eq!(summary.failed, 6);
+        assert!(summary.complete());
+        let records = sorted_records(&journal);
+        for line in &records {
+            assert!(line.contains("\"status\":\"error\""), "{line}");
+            assert!(line.contains("watchdog expired"), "{line}");
+        }
+        assert_eq!(records, serial_records(&plan));
+        let _ = std::fs::remove_file(&journal);
+    }
+
+    #[test]
+    fn job_set_limit_then_resume_recomputes_nothing() {
+        let plan = job_set_plan("");
+        let journal = temp_path("job-set-limit");
+        let first = run_campaign(
+            &plan,
+            &journal,
+            &RunOptions {
+                limit: Some(4),
+                ..RunOptions::default()
+            },
+        )
+        .expect("runs");
+        assert_eq!((first.ran, first.skipped), (4, 0));
+        assert!(!first.complete());
+        let second = run_campaign(
+            &plan,
+            &journal,
+            &RunOptions {
+                resume: true,
+                ..RunOptions::default()
+            },
+        )
+        .expect("resumes");
+        assert_eq!((second.ran, second.skipped, second.failed), (2, 4, 0));
+        assert!(second.complete());
+        // Still exactly one record per point: nothing ran twice.
+        assert_eq!(sorted_records(&journal), serial_records(&plan));
         let _ = std::fs::remove_file(&journal);
     }
 
