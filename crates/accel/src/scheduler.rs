@@ -32,7 +32,7 @@
 //! [`schedule_prepared`].
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use aladdin_faults::{DeadlockSnapshot, SimError, Watchdog};
 use aladdin_ir::{FuClass, MemAccessKind, NodeId, Trace, TraceNode};
@@ -80,6 +80,47 @@ impl ScheduleResult {
 }
 
 pub(crate) const CLASSES: usize = 6;
+
+/// Memory operations ready to issue, examined in ascending node order.
+///
+/// Each cycle a scheduler offers the [`mem_issue_budget`] smallest ready
+/// ids to the memory interface, in ascending order, and removes only the
+/// ones it accepts. A rejected candidate keeps its place, so a reject
+/// costs one iteration step. Both schedulers use this queue, which keeps
+/// their issue order — and so their results — identical.
+#[derive(Debug, Default)]
+pub(crate) struct ReadyMem {
+    ids: BTreeSet<u32>,
+    /// Scratch for [`issue`](ReadyMem::issue); empty between calls.
+    accepted: Vec<u32>,
+}
+
+impl ReadyMem {
+    pub(crate) fn push(&mut self, idx: u32) {
+        self.ids.insert(idx);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.ids.clear();
+    }
+
+    /// Offer the `budget` smallest ready ids to `try_issue` in ascending
+    /// order; the ids it accepts (returns `true` for) leave the queue.
+    pub(crate) fn issue(&mut self, budget: usize, mut try_issue: impl FnMut(u32) -> bool) {
+        for &idx in self.ids.iter().take(budget) {
+            if try_issue(idx) {
+                self.accepted.push(idx);
+            }
+        }
+        for idx in self.accepted.drain(..) {
+            self.ids.remove(&idx);
+        }
+    }
+}
 
 /// How many memory issue attempts the scheduler examines per cycle for a
 /// datapath — the engine's internal issue-bandwidth budget, exposed
@@ -153,10 +194,9 @@ pub struct SchedulerWorkspace {
     parked: Vec<Vec<u32>>,
     ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
     ready_mask: Vec<u64>,
-    ready_mem: BinaryHeap<Reverse<u32>>,
+    ready_mem: ReadyMem,
     wheel: BinaryHeap<Reverse<(u64, u32)>>,
     mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_retry: Vec<u32>,
 }
 
 impl SchedulerWorkspace {
@@ -184,7 +224,7 @@ struct Engine<'w> {
     /// non-empty. The issue loop walks set bits instead of scanning all
     /// `lanes × CLASSES` heaps every cycle.
     ready_mask: &'w mut Vec<u64>,
-    ready_mem: &'w mut BinaryHeap<Reverse<u32>>,
+    ready_mem: &'w mut ReadyMem,
     ready_count: usize,
     wheel: &'w mut BinaryHeap<Reverse<(u64, u32)>>,
     /// Memory-system completions not yet due (delivered with a future
@@ -209,7 +249,7 @@ impl Engine<'_> {
     fn enqueue(&mut self, idx: usize, nodes: &[TraceNode], lanes: &[u32]) {
         let node = &nodes[idx];
         if node.opcode.is_memory() {
-            self.ready_mem.push(Reverse(idx as u32));
+            self.ready_mem.push(idx as u32);
         } else {
             let lane = lanes[idx] as usize;
             let slot = lane * CLASSES + node.opcode.fu_class().index();
@@ -458,7 +498,6 @@ pub fn try_schedule_prepared(
     ws.ready_mem.clear();
     ws.wheel.clear();
     ws.mem_wheel.clear();
-    ws.mem_retry.clear();
 
     let nodes = trace.nodes();
     let mut eng = Engine {
@@ -572,13 +611,10 @@ pub fn try_schedule_prepared(
 
         // 4. Issue memory ops until the interface pushes back. A bounded
         // number of candidates is examined per cycle so a long queue of
-        // conflicting accesses cannot make one cycle O(n).
-        let mut examined = 0;
-        while examined < mem_budget {
-            let Some(Reverse(idx)) = eng.ready_mem.pop() else {
-                break;
-            };
-            examined += 1;
+        // conflicting accesses cannot make one cycle O(n). The queue is
+        // moved out for the pass so the issue closure can update `eng`.
+        let mut ready_mem = std::mem::take(eng.ready_mem);
+        ready_mem.issue(mem_budget, |idx| {
             let node = &nodes[idx as usize];
             let mref = node.mem.expect("memory node has MemRef");
             let write = mref.kind == MemAccessKind::Write;
@@ -590,6 +626,7 @@ pub fn try_schedule_prepared(
                     eng.ready_count -= 1;
                     eng.events += 1;
                     progressed = true;
+                    true
                 }
                 IssueResult::Pending => {
                     // In flight inside the memory system; the datapath op
@@ -600,16 +637,15 @@ pub fn try_schedule_prepared(
                     eng.mem_inflight += 1;
                     eng.events += 1;
                     progressed = true;
+                    true
                 }
                 IssueResult::Reject => {
                     eng.mem_rejects += 1;
-                    ws.mem_retry.push(idx);
+                    false
                 }
             }
-        }
-        for idx in ws.mem_retry.drain(..) {
-            eng.ready_mem.push(Reverse(idx));
-        }
+        });
+        *eng.ready_mem = ready_mem;
 
         mem.end_cycle(cycle);
 

@@ -47,7 +47,7 @@ use aladdin_mem::IntervalSet;
 
 use crate::config::{DatapathConfig, LaneSync};
 use crate::meminterface::{DatapathMemory, IssueResult};
-use crate::scheduler::{mem_issue_budget, wheel_snapshot, ScheduleResult, CLASSES};
+use crate::scheduler::{mem_issue_budget, wheel_snapshot, ReadyMem, ScheduleResult, CLASSES};
 
 /// Default sliding-window size for streamed scheduling: large enough that
 /// every workload kernel's barrier rounds fit with room to spare (keeping
@@ -109,11 +109,10 @@ struct WindowEngine {
     max_admitted_round: u32,
     ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
     ready_mask: Vec<u64>,
-    ready_mem: BinaryHeap<Reverse<u32>>,
+    ready_mem: ReadyMem,
     ready_count: usize,
     wheel: BinaryHeap<Reverse<(u64, u32)>>,
     mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_retry: Vec<u32>,
     mem_inflight: usize,
     active: usize,
     busy_start: u64,
@@ -136,7 +135,7 @@ impl WindowEngine {
     fn enqueue(&mut self, idx: u32) {
         let node = &self.resident[&idx];
         if node.opcode.is_memory() {
-            self.ready_mem.push(Reverse(idx));
+            self.ready_mem.push(idx);
         } else {
             let slot = node.lane as usize * CLASSES + node.opcode.fu_class().index();
             self.ready_compute[slot].push(Reverse(idx));
@@ -378,11 +377,10 @@ where
             v
         },
         ready_mask: vec![0u64; slots.div_ceil(64)],
-        ready_mem: BinaryHeap::new(),
+        ready_mem: ReadyMem::default(),
         ready_count: 0,
         wheel: BinaryHeap::new(),
         mem_wheel: BinaryHeap::new(),
-        mem_retry: Vec::new(),
         mem_inflight: 0,
         active: 0,
         busy_start: start,
@@ -503,12 +501,8 @@ where
 
         // 4. Issue memory ops until the interface pushes back, bounded
         // per cycle exactly like the materialized engine.
-        let mut examined = 0;
-        while examined < mem_budget {
-            let Some(Reverse(idx)) = eng.ready_mem.pop() else {
-                break;
-            };
-            examined += 1;
+        let mut ready_mem = std::mem::take(&mut eng.ready_mem);
+        ready_mem.issue(mem_budget, |idx| {
             let mref = eng.resident[&idx].mem.expect("memory node has MemRef");
             let write = mref.kind == MemAccessKind::Write;
             match mem.issue(u64::from(idx), mref.addr, mref.bytes, write, cycle) {
@@ -519,6 +513,7 @@ where
                     eng.ready_count -= 1;
                     eng.events += 1;
                     progressed = true;
+                    true
                 }
                 IssueResult::Pending => {
                     eng.issued_per_class[FuClass::Mem.index()] += 1;
@@ -526,16 +521,15 @@ where
                     eng.mem_inflight += 1;
                     eng.events += 1;
                     progressed = true;
+                    true
                 }
                 IssueResult::Reject => {
                     eng.mem_rejects += 1;
-                    eng.mem_retry.push(idx);
+                    false
                 }
             }
-        }
-        while let Some(idx) = eng.mem_retry.pop() {
-            eng.ready_mem.push(Reverse(idx));
-        }
+        });
+        eng.ready_mem = ready_mem;
 
         mem.end_cycle(cycle);
 

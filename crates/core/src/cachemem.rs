@@ -43,6 +43,9 @@ pub(crate) struct CacheClient {
     cache: Cache,
     fills: FillTracker,
     delayed: Vec<Delayed>,
+    /// Scratch for [`begin_cycle`](CacheClient::begin_cycle): the delayed
+    /// accesses due this cycle. Kept to reuse its allocation.
+    due: Vec<Delayed>,
     completions: Vec<(u64, u64)>,
     ideal: bool,
     master: MasterId,
@@ -79,6 +82,7 @@ impl CacheClient {
             cache: Cache::new(soc.cache),
             fills: FillTracker::new(),
             delayed: Vec::new(),
+            due: Vec::new(),
             completions: Vec::new(),
             ideal: false,
             master,
@@ -137,25 +141,28 @@ impl CacheClient {
     pub(crate) fn begin_cycle(&mut self, cycle: u64) {
         self.spad.begin_cycle(cycle);
         self.cache.begin_cycle(cycle);
-        // Retry TLB-delayed accesses that are now translated.
-        let mut still: Vec<Delayed> = Vec::new();
-        let due: Vec<Delayed> = {
-            let (due, later): (Vec<_>, Vec<_>) =
-                self.delayed.drain(..).partition(|d| d.ready_at <= cycle);
-            still.extend(later);
-            due
-        };
-        for d in due {
+        // Retry TLB-delayed accesses that are now translated. Entries not
+        // yet due keep their place; rejected due ones queue behind them in
+        // their original order, which decides who gets the next cache port.
+        let mut due = std::mem::take(&mut self.due);
+        self.delayed.retain(|d| {
+            let ready = d.ready_at <= cycle;
+            if ready {
+                due.push(*d);
+            }
+            !ready
+        });
+        for d in due.drain(..) {
             match self.cache_try(d.id, d.addr, d.write, cycle) {
                 IssueResult::Done { at } => self.completions.push((d.id, at)),
                 IssueResult::Pending => {}
-                IssueResult::Reject => still.push(Delayed {
+                IssueResult::Reject => self.delayed.push(Delayed {
                     ready_at: cycle + 1,
                     ..d
                 }),
             }
         }
-        self.delayed = still;
+        self.due = due;
     }
 
     pub(crate) fn issue(
@@ -502,5 +509,78 @@ mod tests {
             rn.end,
             rq.end
         );
+    }
+
+    /// The original allocate-per-cycle retry of TLB-delayed accesses, kept
+    /// as the reference for the order `begin_cycle` must reproduce.
+    struct ReferenceRetry(CacheDatapathMemory);
+
+    impl DatapathMemory for ReferenceRetry {
+        fn begin_cycle(&mut self, cycle: u64) {
+            let c = &mut self.0.client;
+            c.spad.begin_cycle(cycle);
+            c.cache.begin_cycle(cycle);
+            let (due, mut still): (Vec<Delayed>, Vec<Delayed>) =
+                c.delayed.drain(..).partition(|d| d.ready_at <= cycle);
+            for d in due {
+                match c.cache_try(d.id, d.addr, d.write, cycle) {
+                    IssueResult::Done { at } => c.completions.push((d.id, at)),
+                    IssueResult::Pending => {}
+                    IssueResult::Reject => still.push(Delayed {
+                        ready_at: cycle + 1,
+                        ..d
+                    }),
+                }
+            }
+            c.delayed = still;
+        }
+
+        fn issue(
+            &mut self,
+            id: u64,
+            addr: u64,
+            bytes: u32,
+            write: bool,
+            cycle: u64,
+        ) -> IssueResult {
+            self.0.issue(id, addr, bytes, write, cycle)
+        }
+
+        fn drain_completions(&mut self) -> Vec<(u64, u64)> {
+            self.0.drain_completions()
+        }
+
+        fn end_cycle(&mut self, cycle: u64) {
+            self.0.end_cycle(cycle);
+        }
+    }
+
+    #[test]
+    fn delayed_retry_order_matches_reference() {
+        let trace = streaming_trace(4096);
+        for (lanes, entries, ports, size) in [
+            (8, 1, 1, 2048),
+            (16, 2, 1, 2048),
+            (4, 1, 2, 4096),
+            (16, 1, 4, 8192),
+        ] {
+            let dp = DatapathConfig {
+                lanes,
+                partition: lanes,
+                ..DatapathConfig::default()
+            };
+            let mut soc = SocConfig::default();
+            soc.tlb.entries = entries;
+            soc.cache.ports = ports;
+            soc.cache.size_bytes = size;
+            let mut mem = CacheDatapathMemory::new(&trace, &dp, &soc);
+            let got = schedule(&trace, &dp, &mut mem, 0);
+            let mut reference = ReferenceRetry(CacheDatapathMemory::new(&trace, &dp, &soc));
+            let want = schedule(&trace, &dp, &mut reference, 0);
+            let case = format!("lanes {lanes}, {entries} TLB entries, {ports} ports, {size} B");
+            assert!(got == want, "{case}: ends {} vs {}", got.end, want.end);
+            assert_eq!(mem.cache_stats(), reference.0.cache_stats(), "{case}");
+            assert_eq!(mem.tlb_stats(), reference.0.tlb_stats(), "{case}");
+        }
     }
 }

@@ -20,24 +20,29 @@ impl IntervalSet {
     }
 
     /// Add `[start, end)`. Empty or inverted intervals are ignored.
+    ///
+    /// In-order pushes (starting at or after the last interval's start, as
+    /// every simulator component records them) append or extend the last
+    /// interval in O(1); an out-of-order push merges in place with two
+    /// binary searches and one splice.
     pub fn push(&mut self, start: u64, end: u64) {
         if end <= start {
             return;
         }
-        self.ivals.push((start, end));
-        self.normalize();
-    }
-
-    fn normalize(&mut self) {
-        self.ivals.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ivals.len());
-        for &(s, e) in &self.ivals {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
+        match self.ivals.last_mut() {
+            Some(last) if (last.0..=last.1).contains(&start) => last.1 = last.1.max(end),
+            Some(last) if start < last.0 => {
+                // Merge with every interval in `lo..hi`: those that overlap
+                // or touch `[start, end)`.
+                let lo = self.ivals.partition_point(|&(_, e)| e < start);
+                let hi = self.ivals.partition_point(|&(s, _)| s <= end);
+                let merged = self.ivals[lo..hi]
+                    .iter()
+                    .fold((start, end), |(s, e), &(a, b)| (s.min(a), e.max(b)));
+                self.ivals.splice(lo..hi, [merged]);
             }
+            _ => self.ivals.push((start, end)),
         }
-        self.ivals = merged;
     }
 
     /// Whether `cycle` is covered.
@@ -140,16 +145,16 @@ impl IntervalSet {
 impl FromIterator<(u64, u64)> for IntervalSet {
     fn from_iter<I: IntoIterator<Item = (u64, u64)>>(iter: I) -> Self {
         let mut s = IntervalSet::new();
-        s.ivals.extend(iter.into_iter().filter(|&(a, b)| b > a));
-        s.normalize();
+        s.extend(iter);
         s
     }
 }
 
 impl Extend<(u64, u64)> for IntervalSet {
     fn extend<I: IntoIterator<Item = (u64, u64)>>(&mut self, iter: I) {
-        self.ivals.extend(iter.into_iter().filter(|&(a, b)| b > a));
-        self.normalize();
+        for (start, end) in iter {
+            self.push(start, end);
+        }
     }
 }
 

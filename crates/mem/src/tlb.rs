@@ -118,6 +118,11 @@ impl Tlb {
     /// at which the translation is available (equal to `cycle` on a hit).
     pub fn translate(&mut self, addr: u64, cycle: u64) -> u64 {
         let page = addr / self.cfg.page_bytes;
+        if self.pages.last() == Some(&page) {
+            // Already most recently used: the LRU order is unchanged.
+            self.stats.hits += 1;
+            return cycle;
+        }
         if let Some(pos) = self.pages.iter().position(|&p| p == page) {
             // LRU refresh.
             let p = self.pages.remove(pos);

@@ -3,12 +3,13 @@
 //! crate registry, so `proptest` is unavailable). Each test replays many
 //! seeded random stimulus sequences and asserts the invariant for each.
 
+use aladdin_faults::{salt, FaultInjector, FaultSpec};
 use aladdin_mem::{
     AccessKind, BusConfig, Cache, CacheConfig, CacheOutcome, DramConfig, IntervalSet, MasterId,
-    PrefetcherConfig, SystemBus, Tlb, TlbConfig,
+    PrefetcherConfig, SystemBus, Tlb, TlbConfig, TlbStats,
 };
 use aladdin_rng::SmallRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// IntervalSet agrees with a naive bitset model.
 #[test]
@@ -39,6 +40,179 @@ fn interval_set_matches_bitset() {
         for w in set.as_slice().windows(2) {
             assert!(w[0].1 < w[1].0);
         }
+    }
+}
+
+/// Sort-and-merge normalization, the reference `IntervalSet::push` must
+/// agree with: append, sort everything, merge overlapping or touching runs.
+fn sort_and_merge(ivals: &mut Vec<(u64, u64)>, start: u64, end: u64) {
+    if end <= start {
+        return;
+    }
+    ivals.push((start, end));
+    ivals.sort_unstable();
+    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ivals.len());
+    for &(s, e) in ivals.iter() {
+        match merged.last_mut() {
+            Some(last) if s <= last.1 => last.1 = last.1.max(e),
+            _ => merged.push((s, e)),
+        }
+    }
+    *ivals = merged;
+}
+
+/// IntervalSet agrees with the sort-and-merge oracle after every push of
+/// mixed in-order, out-of-order, overlapping, touching, empty and inverted
+/// intervals.
+#[test]
+fn interval_set_matches_sort_and_merge_oracle() {
+    for case in 0..1_000u64 {
+        let mut rng = SmallRng::seed_from_u64(0xA101 + case);
+        let n = rng.gen_range(1..80usize);
+        let mut set = IntervalSet::new();
+        let mut oracle: Vec<(u64, u64)> = Vec::new();
+        let mut cursor = 0u64;
+        for _ in 0..n {
+            let (start, end) = match rng.gen_range(0..6u32) {
+                // In order, after a gap or touching the previous end.
+                0 => {
+                    let s = cursor + rng.gen_range(0..4u64);
+                    (s, s + rng.gen_range(1..12u64))
+                }
+                // Touching: starts exactly where the last one ended.
+                1 => (cursor, cursor + rng.gen_range(1..6u64)),
+                // Overlapping the tail.
+                2 => {
+                    let s = cursor.saturating_sub(rng.gen_range(0..10u64));
+                    (s, s + rng.gen_range(1..20u64))
+                }
+                // Anywhere, usually out of order.
+                3 => {
+                    let s = rng.gen_range(0..cursor + 50);
+                    (s, s + rng.gen_range(1..30u64))
+                }
+                // Empty.
+                4 => {
+                    let s = rng.gen_range(0..cursor + 10);
+                    (s, s)
+                }
+                // Inverted.
+                _ => {
+                    let s = rng.gen_range(1..cursor + 10);
+                    (s, s - rng.gen_range(1..=s))
+                }
+            };
+            set.push(start, end);
+            sort_and_merge(&mut oracle, start, end);
+            assert_eq!(
+                set.as_slice(),
+                oracle.as_slice(),
+                "case {case} after push [{start}, {end})"
+            );
+            cursor = cursor.max(end);
+        }
+    }
+}
+
+/// A million in-order pushes — disjoint, touching and overlapping the
+/// last interval — build the expected set.
+#[test]
+fn interval_set_million_in_order_pushes() {
+    let mut set = IntervalSet::new();
+    for i in 0..1_000_000u64 {
+        let s = 10 * i;
+        match i % 4 {
+            0 => set.push(s, s + 3),
+            1 => set.push(s - 7, s + 2), // touches the previous end: merges
+            2 => set.push(s - 9, s - 8), // inside the previous interval
+            _ => set.push(s + 1, s + 4),
+        }
+    }
+    // Each group of four pushes yields [40k, 40k+12) and [40k+31, 40k+34).
+    assert_eq!(set.as_slice().len(), 500_000);
+    assert_eq!(set.as_slice()[0], (0, 12));
+    assert_eq!(set.as_slice()[1], (31, 34));
+    assert_eq!(set.total(), 250_000 * (12 + 3));
+    assert_eq!(set.end(), 9_999_994);
+    for w in set.as_slice().windows(2) {
+        assert!(w[0].1 < w[1].0);
+    }
+}
+
+/// A naive fully-associative LRU TLB keyed by last-use time.
+struct ReferenceTlb {
+    cfg: TlbConfig,
+    last_use: HashMap<u64, u64>,
+    clock: u64,
+    stats: TlbStats,
+    faults: Option<FaultInjector>,
+}
+
+impl ReferenceTlb {
+    fn translate(&mut self, addr: u64, cycle: u64) -> u64 {
+        let page = addr / self.cfg.page_bytes;
+        self.clock += 1;
+        if self.last_use.insert(page, self.clock).is_some() {
+            self.stats.hits += 1;
+            return cycle;
+        }
+        if self.last_use.len() > self.cfg.entries {
+            let lru = *self
+                .last_use
+                .iter()
+                .min_by_key(|&(_, &t)| t)
+                .map(|(p, _)| p)
+                .unwrap();
+            self.last_use.remove(&lru);
+        }
+        self.stats.misses += 1;
+        let walk = self.faults.as_mut().map_or(0, FaultInjector::extra_cycles);
+        cycle + self.cfg.miss_cycles + walk
+    }
+}
+
+/// `Tlb::translate` (with its most-recently-used fast path) agrees call by
+/// call with the reference TLB on random page streams with repeated-page
+/// runs, with and without page-fault walks armed.
+#[test]
+fn tlb_matches_reference_model() {
+    for case in 0..600u64 {
+        let mut rng = SmallRng::seed_from_u64(0xD104 + case);
+        let cfg = TlbConfig {
+            entries: [1, 2, 8][(case % 3) as usize],
+            ..TlbConfig::default()
+        };
+        let faults = (case % 2 == 1).then(|| {
+            let spec = FaultSpec {
+                rate: 0.3,
+                max_extra: 40,
+            };
+            FaultInjector::new(spec, case, salt::TLB)
+        });
+        let mut tlb = Tlb::new(cfg);
+        tlb.set_faults(faults.clone());
+        let mut reference = ReferenceTlb {
+            cfg,
+            last_use: HashMap::new(),
+            clock: 0,
+            stats: TlbStats::default(),
+            faults,
+        };
+        let pages = rng.gen_range(1..24u64);
+        let mut cycle = 0u64;
+        for _ in 0..rng.gen_range(1..60usize) {
+            let page = rng.gen_range(0..pages);
+            for _ in 0..rng.gen_range(1..6u32) {
+                let addr = page * cfg.page_bytes + rng.gen_range(0..cfg.page_bytes);
+                cycle += rng.gen_range(0..3u64);
+                assert_eq!(
+                    tlb.translate(addr, cycle),
+                    reference.translate(addr, cycle),
+                    "case {case}, page {page}, cycle {cycle}"
+                );
+            }
+        }
+        assert_eq!(tlb.stats(), reference.stats, "case {case}");
     }
 }
 
