@@ -17,8 +17,8 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use aladdin_core::{MemKind, SimHarness, SocConfig};
-use aladdin_dse::{sweep_points, sweep_points_streaming_pruned, PointOutcome, PointSpec};
+use aladdin_core::{MemKind, SimHarness, SocConfig, TraceSource};
+use aladdin_dse::{sweep_points, sweep_points_streaming, PointOutcome, PointSpec};
 use aladdin_lint::bounds_for_point;
 use aladdin_workloads::by_name;
 
@@ -88,6 +88,16 @@ fn main() {
             }
         });
 
+        let pruned_sweep = || {
+            sweep_points_streaming(
+                &TraceSource::Memory(&trace),
+                &specs,
+                &harness,
+                true,
+                &|_, _| {},
+            )
+        };
+
         // Cold sweeps: every run re-simulates. The pruned run still
         // simulates the witness first (the list is walked in order), then
         // skips every dominated rung.
@@ -98,8 +108,7 @@ fn main() {
         let mut pruned_count = 0u64;
         let cold_pruned_s = median_secs(|| {
             aladdin_dse::reset_sweep_cache();
-            let (outcomes, perf) =
-                sweep_points_streaming_pruned(&trace, &specs, &harness, &|_, _| {});
+            let (outcomes, perf) = pruned_sweep();
             pruned_count = perf.pruned;
             black_box(outcomes);
         });
@@ -110,19 +119,14 @@ fn main() {
             black_box(sweep_points(&trace, &specs, &harness));
         });
         let warm_pruned_s = median_secs(|| {
-            black_box(sweep_points_streaming_pruned(
-                &trace,
-                &specs,
-                &harness,
-                &|_, _| {},
-            ));
+            black_box(pruned_sweep());
         });
 
         // Sanity: every point is either simulated or pruned. Pruning is
         // opportunistic (it depends on completion order), so the count is
         // taken from this same run, not from the timed ones.
         aladdin_dse::reset_sweep_cache();
-        let (outcomes, perf) = sweep_points_streaming_pruned(&trace, &specs, &harness, &|_, _| {});
+        let (outcomes, perf) = pruned_sweep();
         let survivors = outcomes
             .iter()
             .filter(|o| matches!(o, PointOutcome::Done(_)))

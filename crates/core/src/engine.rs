@@ -17,10 +17,6 @@
 //!     .expect("simulation completes");
 //! assert!(r.total_cycles > 0);
 //! ```
-//!
-//! The legacy `run_*`/`try_run_*`/`*_prepared` entry points in
-//! [`crate::flows`] are thin deprecated wrappers over this engine and
-//! produce bit-identical results.
 
 use aladdin_accel::{
     trace_node_stream, try_schedule_prepared, try_schedule_windowed, DatapathConfig,
@@ -213,10 +209,9 @@ impl<'a> FlowSpec<'a> {
 
 /// Run one accelerator invocation described by `spec`.
 ///
-/// This is the single simulation core: every other entry point
-/// (the deprecated `run_*`/`try_run_*` family, [`Soc`](crate::Soc)'s
-/// convenience methods, the sweep runners in `aladdin-dse`) is a thin
-/// wrapper over this function and produces bit-identical results.
+/// This is the single simulation core: [`simulate_prepared`],
+/// [`simulate_source`] and the sweep runners in `aladdin-dse` run the
+/// same engine and produce bit-identical results.
 ///
 /// # Errors
 ///
@@ -400,8 +395,8 @@ pub(crate) fn report_error(report: Report) -> SimError {
     SimError::Diag(diag)
 }
 
-/// Unwrap a simulation result, panicking with the rendered error — the
-/// behavior the legacy infallible entry points promise.
+/// Unwrap a simulation result that cannot fail (clean harness, validated
+/// inputs), panicking with the rendered error if it does.
 pub(crate) fn expect_flow(r: Result<FlowResult, SimError>) -> FlowResult {
     r.unwrap_or_else(|e| panic!("{e}"))
 }

@@ -5,9 +5,13 @@
 //!
 //! * [`DesignSpace`] — the Figure 3 parameter table (datapath lanes,
 //!   scratchpad partitioning, cache geometry, bus width),
-//! * [`sweep`] (with [`sweep_perf`]/[`sweep_checked`]/[`sweep_faulted`])
-//!   — one multithreaded, spec-driven sweep runner generic over
-//!   [`MemKind`](aladdin_core::MemKind),
+//! * [`sweep_points_streaming`] — the one multithreaded sweep engine
+//!   (result cache, shared DDDG preparation, optional bound-based
+//!   pruning) over any [`PointSpec`] list and
+//!   [`TraceSource`](aladdin_core::TraceSource); [`sweep`] walks a
+//!   [`DesignSpace`] under a [`MemKind`](aladdin_core::MemKind), and
+//!   [`sweep_points`]/[`sweep_points_source`] return one `Result` per
+//!   point,
 //! * [`pareto_frontier`] and [`edp_optimal`] — the Figure 8 analyses,
 //! * [`run_codesign`] — the four design scenarios of Figures 9/10
 //!   (isolated, co-designed DMA, co-designed cache at 32- and 64-bit bus)
@@ -58,14 +62,6 @@ pub use preflight::{preflight_cache, preflight_dma, Preflight, RejectedPoint};
 pub use scenario::{run_codesign, CodesignReport, ScenarioOutcome};
 pub use space::{CachePoint, DesignSpace, DmaPoint};
 pub use sweep::{
-    parallel_map, sweep, sweep_checked, sweep_faulted, sweep_perf, sweep_points,
-    sweep_points_source, sweep_points_source_streaming, sweep_points_streaming,
-    sweep_points_streaming_pruned, CheckedSweep, FailedPoint, PointOutcome, PointSpec, PrunedPoint,
-    SweepOutcome,
-};
-#[allow(deprecated)]
-pub use sweep::{
-    sweep_cache, sweep_cache_checked, sweep_cache_faulted, sweep_cache_perf, sweep_dma,
-    sweep_dma_checked, sweep_dma_faulted, sweep_dma_perf, sweep_isolated, sweep_isolated_faulted,
-    sweep_isolated_perf,
+    parallel_map, sweep, sweep_points, sweep_points_source, sweep_points_streaming, PointOutcome,
+    PointSpec, PrunedPoint,
 };

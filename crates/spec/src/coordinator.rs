@@ -49,14 +49,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use aladdin_core::{simulate_multi, SimError, TraceSource};
-use aladdin_dse::{sweep_points_source_streaming, sweep_points_streaming, SweepPerf};
+use aladdin_core::{simulate_multi, SimError};
+use aladdin_dse::{sweep_points_streaming, PointOutcome, SweepPerf};
 use aladdin_ir::{Diagnostic, Report};
 
 use crate::campaign::{CampaignPlan, JobSet, PlannedPoint};
 use crate::runner::{
-    classify_line, json_field_str, json_string, materialize_trace, multi_record, point_prefix,
-    quarantine_path, scan_journal, single_record, write_quarantine, LineClass, JOURNAL_VERSION,
+    classify_line, json_field_str, json_string, multi_record, outcome_record, point_prefix,
+    quarantine_path, scan_journal, write_quarantine, KernelTrace, LineClass, JOURNAL_VERSION,
 };
 
 /// Lease expired and was reclaimed (or is still lying around stale).
@@ -348,46 +348,42 @@ fn try_claim(cfg: &WorkerConfig, index: usize) -> Claim {
     }
 }
 
-/// Run one planned point to a `Result`, reusing the last materialized
-/// trace when consecutive points share a kernel.
+/// Run one planned point to its journal line and error, reusing the last
+/// loaded trace when consecutive points share a kernel.
+///
+/// # Errors
+///
+/// Returns the file's `L0280` diagnostic when an `.atrc` kernel has
+/// vanished or is corrupt since the campaign was planned.
 fn execute_point(
     plan: &CampaignPlan,
     index: usize,
     jobs: &JobSet,
-    trace_memo: &mut Option<(String, aladdin_ir::Trace)>,
+    trace_memo: &mut Option<(String, KernelTrace)>,
     perf: &mut SweepPerf,
-) -> (String, Option<SimError>) {
+) -> Result<(String, Option<SimError>), Report> {
     match &plan.points[index] {
         PlannedPoint::Single { kernel, point } => {
-            if kernel.ends_with(".atrc") {
-                let atrc = aladdin_ir::AtrcTrace::open(kernel).unwrap_or_else(|d| panic!("{d}"));
-                let (results, p) = sweep_points_source_streaming(
-                    &TraceSource::Atrc(&atrc),
-                    std::slice::from_ref(point),
-                    &plan.harness,
-                    &|_, _| {},
-                );
-                perf.absorb(&p);
-                let result = results.into_iter().next().expect("one point in, one out");
-                let line = single_record(index, kernel, point, &result);
-                (line, result.err())
-            } else {
-                let stale = !matches!(&trace_memo, Some((name, _)) if name == kernel);
-                if stale {
-                    *trace_memo = Some((kernel.clone(), materialize_trace(kernel)));
-                }
-                let (_, trace) = trace_memo.as_ref().expect("just ensured");
-                let (results, p) = sweep_points_streaming(
-                    trace,
-                    std::slice::from_ref(point),
-                    &plan.harness,
-                    &|_, _| {},
-                );
-                perf.absorb(&p);
-                let result = results.into_iter().next().expect("one point in, one out");
-                let line = single_record(index, kernel, point, &result);
-                (line, result.err())
+            let stale = !matches!(&trace_memo, Some((name, _)) if name == kernel);
+            if stale {
+                *trace_memo = Some((kernel.clone(), KernelTrace::load(kernel, false)?));
             }
+            let (_, trace) = trace_memo.as_ref().expect("just ensured");
+            let (outcomes, p) = sweep_points_streaming(
+                &trace.source(),
+                std::slice::from_ref(point),
+                &plan.harness,
+                false,
+                &|_, _| {},
+            );
+            perf.absorb(&p);
+            let outcome = outcomes.into_iter().next().expect("one point in, one out");
+            let line = outcome_record(index, kernel, point, &outcome);
+            let err = match outcome {
+                PointOutcome::Failed(e) => Some(e),
+                PointOutcome::Done(_) | PointOutcome::Pruned(_) => None,
+            };
+            Ok((line, err))
         }
         PlannedPoint::Multi {
             stagger,
@@ -396,8 +392,7 @@ fn execute_point(
         } => {
             let result = simulate_multi(&jobs.at(*stagger, *count), soc, &plan.harness);
             let line = multi_record(index, *stagger, *count, soc, &result);
-            let err = result.err();
-            (line, err)
+            Ok((line, result.err()))
         }
     }
 }
@@ -522,11 +517,9 @@ impl SegmentTracker {
 ///
 /// Returns `L0266` diagnostics when the directory cannot be created,
 /// coordinates a different campaign, or this worker's segment is
-/// unwritable — never for simulation failures, which are journaled.
-///
-/// # Panics
-///
-/// Panics only on bugs (a validated kernel failing to materialize).
+/// unwritable, and the file's `L0280` diagnostic when an `.atrc` kernel
+/// has vanished or is corrupt since the campaign was planned — never for
+/// simulation failures, which are journaled.
 pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSummary, Report> {
     if cfg.worker.is_empty()
         || !cfg
@@ -582,7 +575,7 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
     };
     beat(&cfg.dir, &cfg.worker);
 
-    let mut trace_memo: Option<(String, aladdin_ir::Trace)> = None;
+    let mut trace_memo: Option<(String, KernelTrace)> = None;
     // One job set per worker call: its job-set points share per-job work.
     let jobs = plan.job_set();
     loop {
@@ -633,7 +626,15 @@ pub fn run_worker(plan: &CampaignPlan, cfg: &WorkerConfig) -> Result<WorkerSumma
             let mut attempt = 0u32;
             let line = loop {
                 let (line, err) =
-                    execute_point(plan, index, &jobs, &mut trace_memo, &mut summary.perf);
+                    match execute_point(plan, index, &jobs, &mut trace_memo, &mut summary.perf) {
+                        Ok(run) => run,
+                        Err(report) => {
+                            // Release the lease so the point is not left
+                            // looking claimed until it goes stale.
+                            let _ = std::fs::remove_file(lease_path(&cfg.dir, index));
+                            return Err(report);
+                        }
+                    };
                 match err {
                     Some(e) if e.is_transient() && attempt < cfg.max_retries => {
                         let backoff = backoff_for(cfg, attempt);

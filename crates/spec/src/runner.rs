@@ -21,11 +21,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use aladdin_core::{simulate_multi, FlowResult, MemKind, SimError, TraceSource, Watchdog};
-use aladdin_dse::{
-    parallel_map, sweep_points_source_streaming, sweep_points_streaming,
-    sweep_points_streaming_pruned, PointOutcome, PointSpec, PrunedPoint,
-};
-use aladdin_ir::{Diagnostic, Report};
+use aladdin_dse::{parallel_map, sweep_points_streaming, PointOutcome, PointSpec, PrunedPoint};
+use aladdin_ir::{AtrcTrace, Diagnostic, Report, Trace};
 use aladdin_lint::BoundsSummary;
 use aladdin_workloads::by_name;
 
@@ -91,29 +88,76 @@ fn journal_err(msg: impl Into<String>) -> Report {
 }
 
 /// Resolve a planned kernel name to a materialized trace: bundled kernels
-/// run their generator, `.atrc` entries decode the file (campaign
-/// validation already opened and checksummed it, so failures here are
-/// bugs, not user errors).
-pub(crate) fn materialize_trace(kernel: &str) -> aladdin_ir::Trace {
+/// run their generator, `.atrc` entries reopen and decode the file.
+///
+/// # Errors
+///
+/// Returns the file's `L0280` diagnostic when an `.atrc` entry has
+/// vanished or no longer decodes since the campaign was planned.
+pub(crate) fn materialize_trace(kernel: &str) -> Result<Trace, Report> {
     if kernel.ends_with(".atrc") {
-        aladdin_ir::AtrcTrace::open(kernel)
-            .and_then(|t| t.decode())
-            .unwrap_or_else(|d| panic!("{d}"))
+        open_atrc(kernel)?.decode().map_err(diag_report)
     } else {
-        by_name(kernel)
+        Ok(by_name(kernel)
             .expect("plan validated kernel names")
             .run()
-            .trace
+            .trace)
+    }
+}
+
+/// Reopen a planned `.atrc` entry, re-verifying its checksum.
+fn open_atrc(kernel: &str) -> Result<AtrcTrace, Report> {
+    AtrcTrace::open(kernel).map_err(diag_report)
+}
+
+fn diag_report(d: Diagnostic) -> Report {
+    std::iter::once(d).collect()
+}
+
+/// A planned kernel's trace, loaded as the sweep engine's input.
+pub(crate) enum KernelTrace {
+    /// A bundled kernel's generated trace, or a decoded `.atrc` file.
+    Memory(Trace),
+    /// An `.atrc` file, streamed through the windowed scheduler: every
+    /// sweep worker decodes its own pass over the shared encoded bytes,
+    /// so the node vector is never materialized.
+    Atrc(AtrcTrace),
+}
+
+impl KernelTrace {
+    /// Load `kernel`, streaming an `.atrc` entry unless `materialize` is
+    /// set (pruning needs static bounds over the full DDDG).
+    ///
+    /// # Errors
+    ///
+    /// Returns the file's `L0280` diagnostic when an `.atrc` entry has
+    /// vanished or is corrupt.
+    pub(crate) fn load(kernel: &str, materialize: bool) -> Result<Self, Report> {
+        if kernel.ends_with(".atrc") && !materialize {
+            open_atrc(kernel).map(KernelTrace::Atrc)
+        } else {
+            materialize_trace(kernel).map(KernelTrace::Memory)
+        }
+    }
+
+    /// The loaded trace as a simulation input.
+    pub(crate) fn source(&self) -> TraceSource<'_> {
+        match self {
+            KernelTrace::Memory(t) => TraceSource::Memory(t),
+            KernelTrace::Atrc(a) => TraceSource::Atrc(a),
+        }
     }
 }
 
 /// Execute `plan`, appending one JSONL record per finished point to
 /// `journal`.
 ///
-/// Single points of one kernel run through the multithreaded
-/// [`sweep_points_streaming`] fast path (shared prepared DDDGs, result
-/// cache when the harness is inert); records are written in completion
-/// order. Multi-accelerator points run on the same worker pool
+/// Single points of one kernel run through one call of the multithreaded
+/// [`sweep_points_streaming`] engine (shared prepared DDDGs, result cache
+/// when the harness is inert, bound-based pruning under
+/// [`RunOptions::prune`]); `.atrc` kernels stream through the windowed
+/// scheduler unless pruning needs them decoded. Records are written in
+/// completion order. Multi-accelerator points run on the same worker pool
 /// ([`parallel_map`]), also journaled in completion order. They clone
 /// one set of jobs made for this call, so each job's kernel is traced
 /// once (by [`CampaignSpec::expand`](crate::CampaignSpec::expand)) and
@@ -125,7 +169,10 @@ pub(crate) fn materialize_trace(kernel: &str) -> aladdin_ir::Trace {
 /// # Errors
 ///
 /// Returns `L0266` diagnostics when the journal already exists (fresh
-/// run), is missing or digest-mismatched (resume), or cannot be written.
+/// run), is missing or digest-mismatched (resume), or cannot be written,
+/// and the file's `L0280` diagnostic when an `.atrc` kernel has vanished
+/// or is corrupt since the campaign was planned (points journaled before
+/// that kernel stay resumable).
 pub fn run_campaign(
     plan: &CampaignPlan,
     journal: &Path,
@@ -210,68 +257,30 @@ pub fn run_campaign(
                         PlannedPoint::Multi { .. } => unreachable!("grouped singles"),
                     })
                     .collect();
-                if opts.prune {
-                    // Pruning needs static bounds over the full DDDG, so
-                    // `.atrc` entries are materialized for this path.
-                    let trace = materialize_trace(&kernel_name);
-                    let (outcomes, _perf) = sweep_points_streaming_pruned(
-                        &trace,
-                        &specs,
-                        &plan.harness,
-                        &|local, outcome| {
-                            write_line(outcome_record(
-                                group[local],
-                                &kernel_name,
-                                &specs[local],
-                                outcome,
-                            ));
-                        },
-                    );
-                    for o in &outcomes {
-                        match o {
-                            PointOutcome::Done(_) => ran += 1,
-                            PointOutcome::Failed(_) => {
-                                ran += 1;
-                                failed += 1;
-                            }
-                            PointOutcome::Pruned(_) => pruned += 1,
+                let trace = KernelTrace::load(&kernel_name, opts.prune)?;
+                let (outcomes, _perf) = sweep_points_streaming(
+                    &trace.source(),
+                    &specs,
+                    &plan.harness,
+                    opts.prune,
+                    &|local, outcome| {
+                        write_line(outcome_record(
+                            group[local],
+                            &kernel_name,
+                            &specs[local],
+                            outcome,
+                        ));
+                    },
+                );
+                for o in &outcomes {
+                    match o {
+                        PointOutcome::Done(_) => ran += 1,
+                        PointOutcome::Failed(_) => {
+                            ran += 1;
+                            failed += 1;
                         }
+                        PointOutcome::Pruned(_) => pruned += 1,
                     }
-                } else if kernel_name.ends_with(".atrc") {
-                    // File-backed trace: every worker streams its own
-                    // decode of the shared encoded bytes through the
-                    // windowed scheduler — the node vector is never
-                    // materialized.
-                    let atrc =
-                        aladdin_ir::AtrcTrace::open(&kernel_name).unwrap_or_else(|d| panic!("{d}"));
-                    let (results, _perf) = sweep_points_source_streaming(
-                        &TraceSource::Atrc(&atrc),
-                        &specs,
-                        &plan.harness,
-                        &|local, result| {
-                            write_line(single_record(
-                                group[local],
-                                &kernel_name,
-                                &specs[local],
-                                result,
-                            ));
-                        },
-                    );
-                    failed += results.iter().filter(|r| r.is_err()).count();
-                    ran += results.len();
-                } else {
-                    let trace = materialize_trace(&kernel_name);
-                    let (results, _perf) =
-                        sweep_points_streaming(&trace, &specs, &plan.harness, &|local, result| {
-                            write_line(single_record(
-                                group[local],
-                                &kernel_name,
-                                &specs[local],
-                                result,
-                            ));
-                        });
-                    failed += results.iter().filter(|r| r.is_err()).count();
-                    ran += results.len();
                 }
             }
             PlannedPoint::Multi { .. } => {
@@ -381,19 +390,25 @@ fn pruned_record(index: usize, kernel: &str, spec: &PointSpec, p: &PrunedPoint) 
     line
 }
 
-fn outcome_record(index: usize, kernel: &str, spec: &PointSpec, outcome: &PointOutcome) -> String {
+/// Journal record for one single-point outcome.
+pub(crate) fn outcome_record(
+    index: usize,
+    kernel: &str,
+    spec: &PointSpec,
+    outcome: &PointOutcome,
+) -> String {
     match outcome {
-        PointOutcome::Done(r) => single_record(index, kernel, spec, &Ok((**r).clone())),
-        PointOutcome::Failed(e) => single_record(index, kernel, spec, &Err(e.clone())),
+        PointOutcome::Done(r) => single_record(index, kernel, spec, Ok(r)),
+        PointOutcome::Failed(e) => single_record(index, kernel, spec, Err(e)),
         PointOutcome::Pruned(p) => pruned_record(index, kernel, spec, p),
     }
 }
 
-pub(crate) fn single_record(
+fn single_record(
     index: usize,
     kernel: &str,
     spec: &PointSpec,
-    result: &Result<FlowResult, SimError>,
+    result: Result<&FlowResult, &SimError>,
 ) -> String {
     let mut line = point_prefix(index, kernel, spec);
     match result {
@@ -573,15 +588,18 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
         return 0;
     }
     let mut cached = 0;
-    let mut trace_for: Option<(String, aladdin_ir::Trace)> = None;
+    let mut trace_for: Option<(String, Option<Trace>)> = None;
     for point in &plan.points {
         if let PlannedPoint::Single { kernel, point } = point {
             let stale = !matches!(&trace_for, Some((name, _)) if name == kernel);
             if stale {
-                let trace = materialize_trace(kernel);
-                trace_for = Some((kernel.clone(), trace));
+                trace_for = Some((kernel.clone(), materialize_trace(kernel).ok()));
             }
-            let (_, trace) = trace_for.as_ref().expect("just ensured");
+            // An unreadable `.atrc` entry has nothing cached; the run
+            // reports its `L0280`.
+            let Some((_, Some(trace))) = &trace_for else {
+                continue;
+            };
             if aladdin_dse::point_cached(trace, &point.dp, &point.soc, point.kind) {
                 cached += 1;
             }
@@ -596,7 +614,8 @@ pub fn forecast_cached(plan: &CampaignPlan) -> usize {
 ///
 /// Returns the aggregate [`BoundsSummary`] over every single point whose
 /// configuration admits bounds, plus the count of points where bounds
-/// were unavailable (the configuration itself fails validation, `L0273`).
+/// were unavailable (the configuration itself fails validation, `L0273`,
+/// or its `.atrc` trace no longer decodes).
 /// Job-set (multi-accelerator) points carry no static bounds and are not
 /// counted. The summary's dominance count is judged within each kernel's
 /// point group — pruning only ever compares results of the same kernel.
@@ -605,15 +624,18 @@ pub fn plan_bounds(plan: &CampaignPlan) -> (BoundsSummary, usize) {
     let mut all = Vec::new();
     let mut groups: Vec<(String, Vec<aladdin_lint::CycleBounds>)> = Vec::new();
     let mut unavailable = 0usize;
-    let mut trace_for: Option<(String, aladdin_ir::Trace)> = None;
+    let mut trace_for: Option<(String, Option<Trace>)> = None;
     for point in &plan.points {
         if let PlannedPoint::Single { kernel, point } = point {
             let stale = !matches!(&trace_for, Some((name, _)) if name == kernel);
             if stale {
-                let trace = materialize_trace(kernel);
-                trace_for = Some((kernel.clone(), trace));
+                trace_for = Some((kernel.clone(), materialize_trace(kernel).ok()));
             }
-            let (_, trace) = trace_for.as_ref().expect("just ensured");
+            // An unreadable `.atrc` entry admits no bounds.
+            let Some((_, Some(trace))) = &trace_for else {
+                unavailable += 1;
+                continue;
+            };
             match aladdin_lint::bounds_for_point(
                 trace,
                 &point.dp,
@@ -816,6 +838,73 @@ partitions = [1]
         assert_eq!(finished.len(), plan.points.len());
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&atrc_path);
+    }
+
+    /// An `.atrc` kernel truncated or deleted after planning fails the
+    /// run with the file's typed `L0280` diagnostic — on the streamed,
+    /// pruned and multi-worker paths alike — instead of panicking, and
+    /// the plan-time forecasts degrade instead of panicking.
+    #[test]
+    fn changed_atrc_file_is_a_typed_error() {
+        let trace = aladdin_workloads::by_name("aes-aes")
+            .expect("kernel")
+            .run()
+            .trace;
+        let bytes = aladdin_ir::encode_trace(&trace);
+        let mut atrc_path = std::env::temp_dir();
+        atrc_path.push(format!(
+            "aladdin-runner-{}-truncated.atrc",
+            std::process::id()
+        ));
+        std::fs::write(&atrc_path, &bytes).expect("write atrc");
+        let toml = format!(
+            r#"
+name = "runner-truncated-atrc"
+kernels = ["{}"]
+mems = ["isolated"]
+
+[space]
+lanes = [1, 2]
+partitions = [1]
+"#,
+            atrc_path.display()
+        );
+        let plan = CampaignSpec::from_toml(&toml)
+            .expect("parses")
+            .expand()
+            .expect("a valid .atrc file plans");
+        std::fs::write(&atrc_path, &bytes[..bytes.len() / 2]).expect("truncate atrc");
+
+        for prune in [false, true] {
+            let journal = temp_path(&format!("truncated-{prune}"));
+            let err = run_campaign(
+                &plan,
+                &journal,
+                &RunOptions {
+                    prune,
+                    ..RunOptions::default()
+                },
+            )
+            .expect_err("a truncated trace cannot run");
+            assert!(err.has_code("L0280"), "prune={prune}: {}", err.to_human());
+            let _ = std::fs::remove_file(&journal);
+        }
+        let dir =
+            std::env::temp_dir().join(format!("aladdin-runner-{}-truncated.d", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let err = crate::coordinator::run_worker(&plan, &crate::WorkerConfig::new(&dir))
+            .expect_err("a truncated trace cannot run");
+        assert!(err.has_code("L0280"), "{}", err.to_human());
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(forecast_cached(&plan), 0);
+        assert_eq!(plan_bounds(&plan).1, plan.points.len());
+
+        std::fs::remove_file(&atrc_path).expect("remove atrc");
+        let journal = temp_path("vanished");
+        let err = run_campaign(&plan, &journal, &RunOptions::default())
+            .expect_err("a vanished trace cannot run");
+        assert!(err.has_code("L0280"), "{}", err.to_human());
+        let _ = std::fs::remove_file(&journal);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use aladdin_accel::DatapathConfig;
-use aladdin_core::{DmaOptLevel, FlowSpec, MemKind, Soc, SocConfig, TrafficConfig};
+use aladdin_core::{simulate, DmaOptLevel, FlowSpec, MemKind, SocConfig, TrafficConfig};
 use aladdin_workloads::by_name;
 
 fn main() {
@@ -25,10 +25,11 @@ fn main() {
         "{:<28} {:>12} {:>12} {:>9} {:>9}",
         "traffic (bus load)", "dma cycles", "cache cycles", "dma x", "cache x"
     );
-    let quiet = Soc::new(SocConfig::default());
-    let dma0 = quiet.simulate(&trace, &dp, &dma_spec).unwrap().total_cycles;
-    let cache0 = quiet
-        .simulate(&trace, &dp, &cache_spec)
+    let quiet = SocConfig::default();
+    let dma0 = simulate(&trace, &dp, &quiet, &dma_spec)
+        .unwrap()
+        .total_cycles;
+    let cache0 = simulate(&trace, &dp, &quiet, &cache_spec)
         .unwrap()
         .total_cycles;
     println!(
@@ -41,14 +42,14 @@ fn main() {
         ("medium (~25%)", 64),
         ("heavy (~50%)", 32),
     ] {
-        let soc = Soc::new(
-            SocConfig::builder()
-                .traffic(Some(TrafficConfig { period, bytes: 64 }))
-                .build()
-                .expect("valid platform"),
-        );
-        let dma = soc.simulate(&trace, &dp, &dma_spec).unwrap().total_cycles;
-        let cache = soc.simulate(&trace, &dp, &cache_spec).unwrap().total_cycles;
+        let soc = SocConfig::builder()
+            .traffic(Some(TrafficConfig { period, bytes: 64 }))
+            .build()
+            .expect("valid platform");
+        let dma = simulate(&trace, &dp, &soc, &dma_spec).unwrap().total_cycles;
+        let cache = simulate(&trace, &dp, &soc, &cache_spec)
+            .unwrap()
+            .total_cycles;
         println!(
             "{:<28} {:>12} {:>12} {:>9.2} {:>9.2}",
             label,

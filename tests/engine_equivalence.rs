@@ -1,19 +1,21 @@
 //! Golden bit-exactness suite for the unified flow engine.
 //!
-//! The `FlowSpec` refactor's contract is that `simulate` is the *same
-//! simulation* the legacy `run_*` entry points performed — not a close
-//! approximation. Every bundled kernel, under every memory-system kind,
-//! must produce a structurally equal [`FlowResult`] (full `PartialEq`:
-//! cycles, phases, energy inputs, and every stats block) through the
-//! unified entry point, the deprecated free functions, and the `Soc`
-//! convenience wrappers. A heterogeneous multi-accelerator run rides
-//! along: cache + DMA jobs on one bus must complete under the watchdog,
-//! be deterministic, and each be no faster than its solo run.
+//! The sweep fast path must be the *same simulation* as a plain
+//! `simulate` call — not a close approximation. Every bundled kernel,
+//! under every memory-system kind, must produce a structurally equal
+//! [`FlowResult`](aladdin_core::FlowResult) (full `PartialEq`: cycles,
+//! phases, energy inputs, and every stats block) whether it runs through
+//! `simulate` (a fresh DDDG and a fresh scheduler workspace per call) or
+//! through `simulate_prepared` with one shared `PreparedDddg` and one
+//! `SchedulerWorkspace` reused across runs, as the sweep engine does. A
+//! heterogeneous multi-accelerator run rides along: cache + DMA jobs on
+//! one bus must complete under the watchdog, be deterministic, and each
+//! be no faster than its solo run.
 
-use aladdin_accel::DatapathConfig;
+use aladdin_accel::{DatapathConfig, PreparedDddg, SchedulerWorkspace};
 use aladdin_core::{
-    simulate, simulate_multi, AcceleratorJob, DmaOptLevel, FlowSpec, MemKind, SimHarness, Soc,
-    SocConfig, Topology, TopologyConfig,
+    simulate, simulate_multi, simulate_prepared, AcceleratorJob, DmaOptLevel, FlowSpec, MemKind,
+    SimHarness, SocConfig, Topology, TopologyConfig,
 };
 use aladdin_workloads::all_kernels;
 
@@ -31,58 +33,52 @@ const KINDS: [MemKind; 3] = [
     MemKind::Cache,
 ];
 
-/// Every kernel × {isolated, dma, cache}: the unified engine reproduces
-/// the deprecated free functions bit-exactly.
+/// Every kernel × {isolated, dma, cache}: the sweep fast path (one
+/// prepared DDDG per kernel shared by all three flows, one scheduler
+/// workspace reused across every run) reproduces `simulate` bit-exactly.
 #[test]
-#[allow(deprecated)]
 fn unified_engine_matches_legacy_entry_points_everywhere() {
     let soc = SocConfig::default();
     let d = dp(2);
+    let mut ws = SchedulerWorkspace::new();
     for kernel in all_kernels() {
         let trace = kernel.run().trace;
+        let prep = PreparedDddg::new(&trace, &d);
         for kind in KINDS {
-            let unified = simulate(&trace, &d, &soc, &FlowSpec::new(kind))
+            let fresh = simulate(&trace, &d, &soc, &FlowSpec::new(kind))
                 .unwrap_or_else(|e| panic!("{} {kind}: {e}", kernel.name()));
-            let legacy = match kind {
-                MemKind::Isolated => aladdin_core::run_isolated(&trace, &d, &soc),
-                MemKind::Dma(opt) => aladdin_core::run_dma(&trace, &d, &soc, opt),
-                MemKind::Cache => aladdin_core::run_cache(&trace, &d, &soc),
-            };
-            assert_eq!(unified, legacy, "{} {kind}", kernel.name());
+            let spec = FlowSpec::new(kind).with_prepared(&prep);
+            let fast = simulate_prepared(&trace, &d, &soc, &spec, &mut ws)
+                .unwrap_or_else(|e| panic!("{} {kind}: {e}", kernel.name()));
+            assert_eq!(fresh, fast, "{} {kind}", kernel.name());
         }
     }
 }
 
-/// The (deprecated) `Soc` convenience wrappers are the same engine too,
-/// for every DMA optimization level.
+/// The same fast-path equivalence for every DMA optimization level: one
+/// shared prepared DDDG per kernel and one workspace carried across
+/// kernels and flows.
 #[test]
-#[allow(deprecated)]
 fn soc_wrappers_match_the_engine() {
-    let soc_cfg = SocConfig::default();
-    let soc = Soc::new(soc_cfg);
+    let soc = SocConfig::default();
     let d = dp(4);
+    let mut ws = SchedulerWorkspace::new();
+    let kinds: Vec<MemKind> = std::iter::once(MemKind::Isolated)
+        .chain(DmaOptLevel::ALL.map(MemKind::Dma))
+        .chain([MemKind::Cache])
+        .collect();
     for kernel in all_kernels().into_iter().take(4) {
         let trace = kernel.run().trace;
-        assert_eq!(
-            soc.run_isolated(&trace, &d),
-            simulate(&trace, &d, &soc_cfg, &FlowSpec::new(MemKind::Isolated)).unwrap(),
-            "{} isolated",
-            kernel.name()
-        );
-        for opt in DmaOptLevel::ALL {
+        let prep = PreparedDddg::new(&trace, &d);
+        for &kind in &kinds {
+            let spec = FlowSpec::new(kind).with_prepared(&prep);
             assert_eq!(
-                soc.run_dma(&trace, &d, opt),
-                simulate(&trace, &d, &soc_cfg, &FlowSpec::new(MemKind::Dma(opt))).unwrap(),
-                "{} dma {opt}",
+                simulate_prepared(&trace, &d, &soc, &spec, &mut ws).unwrap(),
+                simulate(&trace, &d, &soc, &FlowSpec::new(kind)).unwrap(),
+                "{} {kind}",
                 kernel.name()
             );
         }
-        assert_eq!(
-            soc.run_cache(&trace, &d),
-            simulate(&trace, &d, &soc_cfg, &FlowSpec::new(MemKind::Cache)).unwrap(),
-            "{} cache",
-            kernel.name()
-        );
     }
 }
 
