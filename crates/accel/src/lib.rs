@@ -58,7 +58,7 @@ pub use fu::FuTiming;
 pub use meminterface::{DatapathMemory, IssueResult, SpadMemory, SpadStats};
 pub use power::{CacheEnergyParams, EnergyReport, PowerModel};
 pub use scheduler::{
-    mem_issue_budget, schedule, schedule_prepared, try_schedule, try_schedule_prepared,
-    PreparedDddg, ScheduleResult, SchedulerWorkspace,
+    mem_issue_budget, schedule, try_schedule_prepared, PreparedDddg, ScheduleResult,
+    SchedulerWorkspace,
 };
 pub use window::{trace_node_stream, try_schedule_windowed, WindowedOutcome, DEFAULT_WINDOW_NODES};

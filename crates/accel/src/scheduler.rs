@@ -13,29 +13,32 @@
 //! * under [`LaneSync::Barrier`], all lanes synchronize before the next
 //!   unrolled iteration round begins.
 //!
-//! # Sweep fast path
+//! # One cycle loop, two node stores
 //!
-//! Design-space sweeps re-schedule the same trace hundreds of times. Two
-//! pieces of per-run work are invariant or reusable across points and can
-//! be hoisted out of the inner loop:
+//! The loop — retire, drain the memory system, admit, issue compute, issue
+//! memory, then the idle jump with its watchdog — exists once, generic
+//! over a private [`NodeStore`] that says where each node runs and which
+//! successors a retirement releases. Two stores implement it:
 //!
-//! * [`PreparedDddg`] — the graph (successor lists, in-degrees, lane/round
-//!   structure) depends only on the trace and the lane count, so a cache
-//!   sweep at fixed lanes can build it once and share it (via `Arc`)
-//!   across every cache geometry and every worker thread.
-//! * [`SchedulerWorkspace`] — the engine's heaps and vectors are sized by
-//!   the trace, not the config; keeping them alive between runs turns ~10
-//!   allocations per design point into zero.
+//! * The *prepared store* reads a [`PreparedDddg`]: the whole graph built
+//!   ahead of time from an in-memory trace ([`try_schedule_prepared`]).
+//!   The graph depends only on the trace and the lane count, so a sweep
+//!   prepares it once and shares it (via `Arc`) across every point and
+//!   worker at that lane count; a per-worker [`SchedulerWorkspace`] keeps
+//!   the loop's buffers alive between points.
+//! * The *window store* admits nodes from a stream and resolves their
+//!   edges as they arrive, keeping a bounded number resident
+//!   ([`try_schedule_windowed`](crate::try_schedule_windowed), see
+//!   `window.rs`).
 //!
-//! [`schedule`] remains the convenient one-shot entry point; it builds
-//! both on the fly and produces bit-identical results to
-//! [`schedule_prepared`].
+//! [`schedule`] is the one-shot entry point: it prepares the graph and a
+//! workspace on the fly and panics on a deadlock.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use aladdin_faults::{DeadlockSnapshot, SimError, Watchdog};
-use aladdin_ir::{FuClass, MemAccessKind, NodeId, Trace, TraceNode};
+use aladdin_ir::{FuClass, MemAccessKind, MemRef, NodeId, Opcode, Trace, TraceNode};
 use aladdin_mem::IntervalSet;
 
 use crate::config::{DatapathConfig, LaneSync};
@@ -79,48 +82,7 @@ impl ScheduleResult {
     }
 }
 
-pub(crate) const CLASSES: usize = 6;
-
-/// Memory operations ready to issue, examined in ascending node order.
-///
-/// Each cycle a scheduler offers the [`mem_issue_budget`] smallest ready
-/// ids to the memory interface, in ascending order, and removes only the
-/// ones it accepts. A rejected candidate keeps its place, so a reject
-/// costs one iteration step. Both schedulers use this queue, which keeps
-/// their issue order — and so their results — identical.
-#[derive(Debug, Default)]
-pub(crate) struct ReadyMem {
-    ids: BTreeSet<u32>,
-    /// Scratch for [`issue`](ReadyMem::issue); empty between calls.
-    accepted: Vec<u32>,
-}
-
-impl ReadyMem {
-    pub(crate) fn push(&mut self, idx: u32) {
-        self.ids.insert(idx);
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.ids.clear();
-    }
-
-    /// Offer the `budget` smallest ready ids to `try_issue` in ascending
-    /// order; the ids it accepts (returns `true` for) leave the queue.
-    pub(crate) fn issue(&mut self, budget: usize, mut try_issue: impl FnMut(u32) -> bool) {
-        for &idx in self.ids.iter().take(budget) {
-            if try_issue(idx) {
-                self.accepted.push(idx);
-            }
-        }
-        for idx in self.accepted.drain(..) {
-            self.ids.remove(&idx);
-        }
-    }
-}
+const CLASSES: usize = 6;
 
 /// How many memory issue attempts the scheduler examines per cycle for a
 /// datapath — the engine's internal issue-bandwidth budget, exposed
@@ -143,19 +105,19 @@ pub fn mem_issue_budget(cfg: &DatapathConfig) -> usize {
 #[derive(Debug, Clone)]
 pub struct PreparedDddg {
     graph: Dddg,
-    round_total: Vec<usize>,
+    round_total: Vec<u32>,
     lanes: u32,
 }
 
 impl PreparedDddg {
     /// Build the graph for `trace` as seen by a datapath with `cfg.lanes`
     /// lanes. Only the lane count matters; every other field of `cfg` is
-    /// ignored here and may vary freely between [`schedule_prepared`]
+    /// ignored here and may vary freely between [`try_schedule_prepared`]
     /// calls that reuse this preparation.
     #[must_use]
     pub fn new(trace: &Trace, cfg: &DatapathConfig) -> Self {
         let graph = Dddg::build(trace, cfg);
-        let mut round_total = vec![0usize; graph.num_rounds() as usize];
+        let mut round_total = vec![0u32; graph.num_rounds() as usize];
         for &r in graph.rounds() {
             round_total[r as usize] += 1;
         }
@@ -183,20 +145,14 @@ impl PreparedDddg {
 /// the engine would otherwise allocate afresh for every design point.
 ///
 /// A workspace is plain state — create one per worker thread and pass it
-/// to [`schedule_prepared`] for every point that worker simulates. All
+/// to [`try_schedule_prepared`] for every point that worker simulates. All
 /// contents are cleared (but their capacity retained) at the start of each
 /// run, so reuse cannot leak state between points; results are
 /// bit-identical to a cold [`schedule`] call.
 #[derive(Debug, Default)]
 pub struct SchedulerWorkspace {
     indeg: Vec<u32>,
-    round_done: Vec<usize>,
-    parked: Vec<Vec<u32>>,
-    ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
-    ready_mask: Vec<u64>,
-    ready_mem: ReadyMem,
-    wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
+    buffers: Buffers,
 }
 
 impl SchedulerWorkspace {
@@ -208,118 +164,217 @@ impl SchedulerWorkspace {
     }
 }
 
-/// Mutable scheduling state. Read-only inputs (trace nodes, graph) are
-/// passed into methods to keep borrows simple. All container fields are
-/// borrowed from a [`SchedulerWorkspace`] so their allocations survive
-/// across runs.
-struct Engine<'w> {
-    barrier: bool,
-    indeg: &'w mut Vec<u32>,
-    round_total: &'w [usize],
-    round_done: &'w mut Vec<usize>,
-    current_round: usize,
-    parked: &'w mut Vec<Vec<u32>>,
-    ready_compute: &'w mut Vec<BinaryHeap<Reverse<u32>>>,
+/// The cycle loop's containers, kept between runs by a
+/// [`SchedulerWorkspace`] so their allocations are reused.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    rounds: Rounds,
+    /// Nodes whose last dependence just retired (or that were just
+    /// admitted dependence-free), waiting to be parked or enqueued.
+    released: Vec<u32>,
+    ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
     /// One bit per `ready_compute` slot; set iff the slot's heap is
     /// non-empty. The issue loop walks set bits instead of scanning all
     /// `lanes × CLASSES` heaps every cycle.
-    ready_mask: &'w mut Vec<u64>,
-    ready_mem: &'w mut ReadyMem,
-    ready_count: usize,
-    wheel: &'w mut BinaryHeap<Reverse<(u64, u32)>>,
+    ready_mask: Vec<u64>,
+    /// Memory operations ready to issue, examined in ascending node order.
+    ready_mem: BTreeSet<u32>,
+    /// Scratch for [`Engine::issue_mem`]; empty between calls.
+    accepted: Vec<u32>,
+    wheel: BinaryHeap<Reverse<(u64, u32)>>,
     /// Memory-system completions not yet due (delivered with a future
     /// completion cycle, e.g. a known DMA arrival time).
-    mem_wheel: &'w mut BinaryHeap<Reverse<(u64, u32)>>,
-    /// Memory operations issued into the memory system whose completions
-    /// have not yet been drained. While this is non-zero the memory system
-    /// owes us events at unknown cycles, so idle fast-forwarding must not
-    /// skip its per-cycle advancement.
-    mem_inflight: usize,
-    active: usize,
-    busy_start: u64,
-    busy: IntervalSet,
-    completed: usize,
-    last_retire: u64,
-    issued_per_class: [u64; 6],
-    mem_rejects: u64,
-    events: u64,
+    mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl Engine<'_> {
-    fn enqueue(&mut self, idx: usize, nodes: &[TraceNode], lanes: &[u32]) {
-        let node = &nodes[idx];
-        if node.opcode.is_memory() {
-            self.ready_mem.push(idx as u32);
+impl Buffers {
+    fn reset(&mut self, cfg: &DatapathConfig) {
+        let slots = cfg.lanes as usize * CLASSES;
+        self.rounds.reset(cfg.sync == LaneSync::Barrier);
+        self.released.clear();
+        if self.ready_compute.len() < slots {
+            self.ready_compute.resize_with(slots, BinaryHeap::new);
+        }
+        for h in &mut self.ready_compute[..slots] {
+            h.clear();
+        }
+        self.ready_mask.clear();
+        self.ready_mask.resize(slots.div_ceil(64), 0);
+        self.ready_mem.clear();
+        self.wheel.clear();
+        self.mem_wheel.clear();
+    }
+}
+
+/// Barrier bookkeeping for one round under [`LaneSync::Barrier`].
+#[derive(Debug, Default)]
+struct RoundState {
+    /// Nodes of the round retired so far.
+    done: u32,
+    /// Nodes of the round registered so far — the round's true size once
+    /// a later round has a node or the store is exhausted.
+    total: u32,
+    /// Dependence-free nodes waiting for the round to open.
+    parked: Vec<u32>,
+}
+
+/// The lane barrier's open rounds, front = the current round. Completed
+/// rounds are popped, so only rounds that still hold nodes are kept. A
+/// no-op under [`LaneSync::Free`].
+#[derive(Debug, Default)]
+pub(crate) struct Rounds {
+    barrier: bool,
+    open: VecDeque<RoundState>,
+    current: u32,
+    /// Highest round registered so far; rounds below it are fully registered.
+    max_registered: u32,
+}
+
+impl Rounds {
+    fn reset(&mut self, barrier: bool) {
+        self.barrier = barrier;
+        self.open.clear();
+        self.current = 0;
+        self.max_registered = 0;
+    }
+
+    /// Count `count` more nodes as members of `round`. Rounds are
+    /// registered in ascending order without gaps (iteration instances
+    /// are consecutive), so a new round is always the next one.
+    pub(crate) fn register(&mut self, round: u32, count: u32) {
+        if !self.barrier {
+            return;
+        }
+        self.max_registered = self.max_registered.max(round);
+        let off = (round - self.current) as usize;
+        if off == self.open.len() {
+            self.open.push_back(RoundState::default());
+        }
+        self.open[off].total += count;
+    }
+
+    /// Park `idx` if its `round` has not opened yet; returns whether it
+    /// was parked.
+    fn park(&mut self, round: u32, idx: u32) -> bool {
+        if round > self.current {
+            self.open[(round - self.current) as usize].parked.push(idx);
+            true
         } else {
-            let lane = lanes[idx] as usize;
-            let slot = lane * CLASSES + node.opcode.fu_class().index();
-            self.ready_compute[slot].push(Reverse(idx as u32));
-            self.ready_mask[slot / 64] |= 1u64 << (slot % 64);
-        }
-        self.ready_count += 1;
-    }
-
-    /// Make a dependence-free node available, honoring the round barrier.
-    fn release(&mut self, idx: usize, graph: &Dddg, nodes: &[TraceNode]) {
-        let r = graph.rounds()[idx] as usize;
-        if self.barrier && r > self.current_round {
-            self.parked[r].push(idx as u32);
-        } else {
-            self.enqueue(idx, nodes, graph.lanes());
+            false
         }
     }
 
-    fn begin_busy(&mut self, cycle: u64) {
-        if self.active == 0 {
-            self.busy_start = cycle;
-        }
-        self.active += 1;
+    fn retire(&mut self, round: u32) {
+        self.open[(round - self.current) as usize].done += 1;
     }
 
-    /// Retire node `idx` at `cycle`. `occupied` says whether the node was
-    /// counted in `active` (true for wheel-tracked ops, false for memory
-    /// ops that completed via the memory system).
-    fn retire(
-        &mut self,
-        idx: usize,
-        cycle: u64,
-        occupied: bool,
-        graph: &Dddg,
-        nodes: &[TraceNode],
-    ) {
-        if occupied {
-            self.active -= 1;
-            if self.active == 0 {
-                self.busy
-                    .push(self.busy_start, cycle.max(self.busy_start + 1));
-            }
+    /// If the current round has fully retired, open the next one and
+    /// return its parked nodes. A round's `total` is only final once a
+    /// later round is registered or the store is `exhausted`, so an
+    /// unfinished current round stays open even when momentarily drained.
+    fn open_next(&mut self, exhausted: bool) -> Option<Vec<u32>> {
+        let front = self.open.front()?;
+        let complete = exhausted || self.current < self.max_registered;
+        if !(self.barrier && complete && front.done == front.total) {
+            return None;
         }
-        self.completed += 1;
-        self.events += 1;
-        self.last_retire = self.last_retire.max(cycle);
-        self.round_done[graph.rounds()[idx] as usize] += 1;
+        self.open.pop_front();
+        self.current += 1;
+        Some(
+            self.open
+                .front_mut()
+                .map(|next| std::mem::take(&mut next.parked))
+                .unwrap_or_default(),
+        )
+    }
+}
 
-        for s in 0..graph.successors(NodeId::from_index(idx)).len() {
-            let succ = graph.successors(NodeId::from_index(idx))[s] as usize;
-            self.indeg[succ] -= 1;
-            if self.indeg[succ] == 0 {
-                self.release(succ, graph, nodes);
-            }
-        }
+/// Where the cycle loop reads the DDDG from: per-node placement and
+/// operation, and the successors each retirement releases. Node ids are
+/// trace node indices; the per-node accessors take admitted, unretired
+/// nodes only.
+pub(crate) trait NodeStore {
+    /// Attached to watchdog and deadlock errors, whose `total` counts
+    /// [`admitted`](NodeStore::admitted) nodes.
+    const TOTAL_NOTE: Option<&'static str>;
 
-        if self.barrier {
-            while self.current_round < self.round_total.len()
-                && self.round_done[self.current_round] == self.round_total[self.current_round]
-            {
-                self.current_round += 1;
-                if self.current_round < self.round_total.len() {
-                    let waiting = std::mem::take(&mut self.parked[self.current_round]);
-                    for w in waiting {
-                        self.enqueue(w as usize, nodes, graph.lanes());
-                    }
-                }
+    fn opcode(&self, idx: u32) -> Opcode;
+    fn lane(&self, idx: u32) -> u32;
+    fn round(&self, idx: u32) -> u32;
+    fn mem_ref(&self, idx: u32) -> MemRef;
+    /// Admit nodes while there is room: register each with `rounds` and
+    /// push those without an unretired dependence onto `released`.
+    fn admit(&mut self, rounds: &mut Rounds, released: &mut Vec<u32>) -> Result<(), SimError>;
+    /// Retire `idx`, pushing every successor whose last unretired
+    /// dependence it was onto `released`.
+    fn retire(&mut self, idx: u32, released: &mut Vec<u32>);
+    /// Nodes admitted so far.
+    fn admitted(&self) -> usize;
+    /// Whether every node of the trace has been admitted.
+    fn exhausted(&self) -> bool;
+}
+
+/// The whole graph of an in-memory trace, prepared ahead of time.
+struct PreparedStore<'a> {
+    nodes: &'a [TraceNode],
+    prepared: &'a PreparedDddg,
+    indeg: &'a mut Vec<u32>,
+    admitted: usize,
+}
+
+impl NodeStore for PreparedStore<'_> {
+    const TOTAL_NOTE: Option<&'static str> = None;
+
+    fn opcode(&self, idx: u32) -> Opcode {
+        self.nodes[idx as usize].opcode
+    }
+
+    fn lane(&self, idx: u32) -> u32 {
+        self.prepared.graph.lanes()[idx as usize]
+    }
+
+    fn round(&self, idx: u32) -> u32 {
+        self.prepared.graph.rounds()[idx as usize]
+    }
+
+    fn mem_ref(&self, idx: u32) -> MemRef {
+        self.nodes[idx as usize]
+            .mem
+            .expect("memory node has MemRef")
+    }
+
+    /// Admits every node at once, on the first call.
+    fn admit(&mut self, rounds: &mut Rounds, released: &mut Vec<u32>) -> Result<(), SimError> {
+        if self.admitted < self.nodes.len() {
+            self.admitted = self.nodes.len();
+            for (r, &total) in self.prepared.round_total.iter().enumerate() {
+                rounds.register(r as u32, total);
+            }
+            released.extend((0..self.admitted as u32).filter(|&i| self.indeg[i as usize] == 0));
+        }
+        Ok(())
+    }
+
+    fn retire(&mut self, idx: u32, released: &mut Vec<u32>) {
+        for &succ in self
+            .prepared
+            .graph
+            .successors(NodeId::from_index(idx as usize))
+        {
+            let d = &mut self.indeg[succ as usize];
+            *d -= 1;
+            if *d == 0 {
+                released.push(succ);
             }
         }
+    }
+
+    fn admitted(&self) -> usize {
+        self.admitted
+    }
+
+    fn exhausted(&self) -> bool {
+        true
     }
 }
 
@@ -329,9 +384,9 @@ impl Engine<'_> {
 /// Returns cycle-level results; `mem` retains its own statistics (accesses,
 /// conflicts, stalls) for the power model.
 ///
-/// One-shot convenience over [`schedule_prepared`]: builds the DDDG and a
-/// fresh workspace internally. Sweeps that revisit the same trace should
-/// prepare once and reuse a workspace instead.
+/// One-shot convenience over [`try_schedule_prepared`]: builds the DDDG
+/// and a fresh workspace internally. Sweeps that revisit the same trace
+/// should prepare once and reuse a workspace instead.
 ///
 /// # Panics
 ///
@@ -346,78 +401,23 @@ pub fn schedule(
 ) -> ScheduleResult {
     let prepared = PreparedDddg::new(trace, cfg);
     let mut ws = SchedulerWorkspace::new();
-    schedule_prepared(trace, cfg, &prepared, &mut ws, mem, start)
+    try_schedule_prepared(
+        trace,
+        cfg,
+        &prepared,
+        &mut ws,
+        mem,
+        start,
+        &Watchdog::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`schedule`]: a deadlock or a watchdog expiry is returned as a
-/// typed [`SimError`] (with a forensic [`DeadlockSnapshot`]) instead of
-/// panicking.
-///
-/// # Errors
-///
-/// `SimError::Deadlock` when no progress is made for
-/// `watchdog.no_progress_cycles` consecutive stepped cycles;
-/// `SimError::WatchdogExpired` when the simulated cycle count crosses
-/// `watchdog.max_cycles`.
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid — that is a configuration bug, detectable
-/// statically before any simulation starts.
-pub fn try_schedule(
-    trace: &Trace,
-    cfg: &DatapathConfig,
-    mem: &mut dyn DatapathMemory,
-    start: u64,
-    watchdog: &Watchdog,
-) -> Result<ScheduleResult, SimError> {
-    let prepared = PreparedDddg::new(trace, cfg);
-    let mut ws = SchedulerWorkspace::new();
-    try_schedule_prepared(trace, cfg, &prepared, &mut ws, mem, start, watchdog)
-}
-
-/// [`schedule`] with the DDDG prepared up front and the engine's buffers
-/// supplied by a reusable workspace — the sweep fast path.
-///
-/// Produces bit-identical results to [`schedule`] for the same inputs.
-///
-/// # Panics
-///
-/// Panics if `cfg` is invalid, if `prepared` was built for a different
-/// lane count or trace, or on a scheduling deadlock.
-#[must_use]
-pub fn schedule_prepared(
-    trace: &Trace,
-    cfg: &DatapathConfig,
-    prepared: &PreparedDddg,
-    ws: &mut SchedulerWorkspace,
-    mem: &mut dyn DatapathMemory,
-    start: u64,
-) -> ScheduleResult {
-    try_schedule_prepared(trace, cfg, prepared, ws, mem, start, &Watchdog::default())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Summarize a completion wheel as `(due_cycle, count)` pairs, soonest
-/// first, truncated to the eight soonest distinct cycles.
-pub(crate) fn wheel_snapshot(wheel: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<(u64, u32)> {
-    let mut times: Vec<u64> = wheel.iter().map(|&Reverse((at, _))| at).collect();
-    times.sort_unstable();
-    let mut out: Vec<(u64, u32)> = Vec::new();
-    for t in times {
-        match out.last_mut() {
-            Some((cycle, count)) if *cycle == t => *count += 1,
-            _ => out.push((t, 1)),
-        }
-    }
-    out.truncate(8);
-    out
-}
-
-/// Fallible [`schedule_prepared`]: the watchdog's no-progress and
-/// max-cycles guards return typed [`SimError`]s carrying a forensic
-/// [`DeadlockSnapshot`] instead of panicking, so sweeps can record the
-/// failed point and keep going.
+/// Schedule `trace` with its DDDG prepared up front and the loop's
+/// buffers supplied by a reusable workspace — the sweep fast path. The
+/// watchdog's no-progress and max-cycles guards return typed
+/// [`SimError`]s carrying a forensic [`DeadlockSnapshot`] instead of
+/// panicking, so sweeps can record the failed point and keep going.
 ///
 /// # Errors
 ///
@@ -431,12 +431,255 @@ pub(crate) fn wheel_snapshot(wheel: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<(u6
 /// Panics if `cfg` is invalid or `prepared` does not match the trace and
 /// lane count — those are configuration bugs, detectable statically
 /// before any simulation starts.
-#[allow(clippy::too_many_lines)]
 pub fn try_schedule_prepared(
     trace: &Trace,
     cfg: &DatapathConfig,
     prepared: &PreparedDddg,
     ws: &mut SchedulerWorkspace,
+    mem: &mut dyn DatapathMemory,
+    start: u64,
+    watchdog: &Watchdog,
+) -> Result<ScheduleResult, SimError> {
+    assert_eq!(
+        prepared.lanes, cfg.lanes,
+        "PreparedDddg built for {} lanes, scheduling with {}",
+        prepared.lanes, cfg.lanes
+    );
+    assert_eq!(
+        prepared.graph.len(),
+        trace.nodes().len(),
+        "PreparedDddg built for another trace"
+    );
+    ws.indeg.clear();
+    ws.indeg.extend_from_slice(prepared.graph.indegrees());
+    let mut store = PreparedStore {
+        nodes: trace.nodes(),
+        prepared,
+        indeg: &mut ws.indeg,
+        admitted: 0,
+    };
+    run(&mut store, cfg, &mut ws.buffers, mem, start, watchdog)
+}
+
+/// Mutable state of one run of the cycle loop.
+struct Engine<'a, S> {
+    store: &'a mut S,
+    b: &'a mut Buffers,
+    ready_count: usize,
+    /// Memory operations issued into the memory system whose completions
+    /// have not yet been drained. While this is non-zero the memory system
+    /// owes us events at unknown cycles, so idle fast-forwarding must not
+    /// skip its per-cycle advancement.
+    mem_inflight: usize,
+    active: usize,
+    busy_start: u64,
+    busy: IntervalSet,
+    completed: usize,
+    last_retire: u64,
+    issued_per_class: [u64; CLASSES],
+    mem_rejects: u64,
+    events: u64,
+}
+
+impl<S: NodeStore> Engine<'_, S> {
+    fn enqueue(&mut self, idx: u32) {
+        let op = self.store.opcode(idx);
+        if op.is_memory() {
+            self.b.ready_mem.insert(idx);
+        } else {
+            let slot = self.store.lane(idx) as usize * CLASSES + op.fu_class().index();
+            self.b.ready_compute[slot].push(Reverse(idx));
+            self.b.ready_mask[slot / 64] |= 1u64 << (slot % 64);
+        }
+        self.ready_count += 1;
+    }
+
+    /// Admit what the store has room for, make every released node
+    /// available (honoring the round barrier), then open whatever rounds
+    /// have completed. Runs once per cycle, after all of the cycle's
+    /// retirements: the ready queues are ordered by node id and round
+    /// completion only grows, so batching reaches the same state as
+    /// releasing after each retirement.
+    fn admit(&mut self) -> Result<(), SimError> {
+        self.store.admit(&mut self.b.rounds, &mut self.b.released)?;
+        let mut ids = std::mem::take(&mut self.b.released);
+        for &idx in &ids {
+            if !(self.b.rounds.barrier && self.b.rounds.park(self.store.round(idx), idx)) {
+                self.enqueue(idx);
+            }
+        }
+        ids.clear();
+        self.b.released = ids;
+        while let Some(woken) = self.b.rounds.open_next(self.store.exhausted()) {
+            for idx in woken {
+                self.enqueue(idx);
+            }
+        }
+        Ok(())
+    }
+
+    /// Retire node `idx` at `cycle`. `occupied` says whether the node was
+    /// counted in `active` (true for wheel-tracked ops, false for memory
+    /// ops that completed via the memory system).
+    fn retire(&mut self, idx: u32, cycle: u64, occupied: bool) {
+        if occupied {
+            self.active -= 1;
+            if self.active == 0 {
+                self.busy
+                    .push(self.busy_start, cycle.max(self.busy_start + 1));
+            }
+        }
+        self.completed += 1;
+        self.events += 1;
+        self.last_retire = self.last_retire.max(cycle);
+        if self.b.rounds.barrier {
+            self.b.rounds.retire(self.store.round(idx));
+        }
+        self.store.retire(idx, &mut self.b.released);
+    }
+
+    /// Count an accepted issue of class `class`; `occupies` says whether
+    /// it holds a unit (and so counts toward busy time) until it retires.
+    fn issued(&mut self, class: FuClass, occupies: bool, cycle: u64) {
+        if occupies {
+            if self.active == 0 {
+                self.busy_start = cycle;
+            }
+            self.active += 1;
+        }
+        self.issued_per_class[class.index()] += 1;
+        self.ready_count -= 1;
+        self.events += 1;
+    }
+
+    /// Issue compute: one op per lane per class. Only slots whose ready
+    /// heap is non-empty are visited (bitmask), in the same ascending slot
+    /// order a full scan would use.
+    fn issue_compute(&mut self, cycle: u64, cfg: &DatapathConfig) -> bool {
+        let mut progressed = false;
+        for w in 0..self.b.ready_mask.len() {
+            let mut word = self.b.ready_mask[w];
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                let heap = &mut self.b.ready_compute[w * 64 + bit];
+                let Reverse(idx) = heap.pop().expect("set bit implies non-empty heap");
+                if heap.is_empty() {
+                    self.b.ready_mask[w] &= !(1u64 << bit);
+                }
+                let class = self.store.opcode(idx).fu_class();
+                self.b
+                    .wheel
+                    .push(Reverse((cycle + cfg.timing.latency(class), idx)));
+                self.issued(class, true, cycle);
+                progressed = true;
+            }
+        }
+        progressed
+    }
+
+    /// Issue memory ops until the interface pushes back: the
+    /// [`mem_issue_budget`] smallest ready ids are offered in ascending
+    /// order, so a long queue of conflicting accesses cannot make one
+    /// cycle O(n). A rejected candidate keeps its place in the queue.
+    fn issue_mem(&mut self, cycle: u64, mem: &mut dyn DatapathMemory, budget: usize) -> bool {
+        let mut ready = std::mem::take(&mut self.b.ready_mem);
+        let mut accepted = std::mem::take(&mut self.b.accepted);
+        for &idx in ready.iter().take(budget) {
+            let mref = self.store.mem_ref(idx);
+            let write = mref.kind == MemAccessKind::Write;
+            match mem.issue(u64::from(idx), mref.addr, mref.bytes, write, cycle) {
+                IssueResult::Done { at } => {
+                    self.b.wheel.push(Reverse((at, idx)));
+                    self.issued(FuClass::Mem, true, cycle);
+                }
+                IssueResult::Pending => {
+                    // In flight inside the memory system; the datapath op
+                    // is waiting, not occupying a unit, so it does not
+                    // count toward busy time.
+                    self.issued(FuClass::Mem, false, cycle);
+                    self.mem_inflight += 1;
+                }
+                IssueResult::Reject => {
+                    self.mem_rejects += 1;
+                    continue;
+                }
+            }
+            accepted.push(idx);
+        }
+        let progressed = !accepted.is_empty();
+        for idx in accepted.drain(..) {
+            ready.remove(&idx);
+        }
+        self.b.ready_mem = ready;
+        self.b.accepted = accepted;
+        progressed
+    }
+
+    /// The cycle after `cycle` worth stepping to, skipping ahead when
+    /// provably idle.
+    fn next_cycle(&self, cycle: u64, mem: &dyn DatapathMemory, mem_passive: bool) -> u64 {
+        if self.ready_count > 0 {
+            return cycle + 1;
+        }
+        let wheel_next = match (
+            self.b.wheel.peek().map(|&Reverse((at, _))| at),
+            self.b.mem_wheel.peek().map(|&Reverse((at, _))| at),
+        ) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let wheel_only = self.store.exhausted()
+            && self.completed + self.b.wheel.len() + self.b.mem_wheel.len()
+                == self.store.admitted();
+        match (wheel_next, mem.next_event_hint(cycle)) {
+            (Some(w), Some(m)) => w.min(m).max(cycle + 1),
+            // Only wheel events pending and nothing else in flight: jump
+            // straight to the next completion. With a passive memory (no
+            // autonomous between-cycle behavior) the same jump is safe
+            // whenever no memory op is in flight, even if dependents are
+            // still waiting on those wheel retires — nothing can become
+            // ready (or be admitted) before the next retire, and a passive
+            // memory cannot act in the skipped window.
+            (Some(w), None) if wheel_only || (mem_passive && self.mem_inflight == 0) => {
+                w.max(cycle + 1)
+            }
+            _ => cycle + 1,
+        }
+    }
+}
+
+fn total_notes<S: NodeStore>() -> Vec<String> {
+    S::TOTAL_NOTE.iter().map(|s| (*s).to_string()).collect()
+}
+
+/// Summarize a completion wheel as `(due_cycle, count)` pairs, soonest
+/// first, truncated to the eight soonest distinct cycles.
+fn wheel_snapshot(wheel: &BinaryHeap<Reverse<(u64, u32)>>) -> Vec<(u64, u32)> {
+    let mut times: Vec<u64> = wheel.iter().map(|&Reverse((at, _))| at).collect();
+    times.sort_unstable();
+    let mut out: Vec<(u64, u32)> = Vec::new();
+    for t in times {
+        match out.last_mut() {
+            Some((cycle, count)) if *cycle == t => *count += 1,
+            _ => out.push((t, 1)),
+        }
+    }
+    out.truncate(8);
+    out
+}
+
+/// The cycle loop: schedule the nodes `store` serves on the datapath
+/// described by `cfg`, with memory operations serviced by `mem`, starting
+/// at absolute cycle `start`.
+///
+/// # Panics
+///
+/// Panics if `cfg` is invalid.
+pub(crate) fn run<S: NodeStore>(
+    store: &mut S,
+    cfg: &DatapathConfig,
+    buffers: &mut Buffers,
     mem: &mut dyn DatapathMemory,
     start: u64,
     watchdog: &Watchdog,
@@ -447,106 +690,40 @@ pub fn try_schedule_prepared(
         "invalid datapath configuration: {}",
         cfg_report.to_human()
     );
-    assert_eq!(
-        prepared.lanes, cfg.lanes,
-        "PreparedDddg built for {} lanes, scheduling with {}",
-        prepared.lanes, cfg.lanes
-    );
-    let graph = &prepared.graph;
-    let n = graph.len();
-    assert_eq!(
-        n,
-        trace.nodes().len(),
-        "PreparedDddg built for another trace"
-    );
-    if n == 0 {
-        return Ok(ScheduleResult {
-            start,
-            end: start,
-            busy: IntervalSet::new(),
-            issued_per_class: [0; 6],
-            mem_rejects: 0,
-            cycles: 0,
-            stepped_cycles: 0,
-            events: 0,
-        });
-    }
-
-    let lanes = cfg.lanes as usize;
-    let num_rounds = graph.num_rounds() as usize;
-    let slots = lanes * CLASSES;
-
-    // Reset the workspace: clear everything, reuse every allocation.
-    ws.indeg.clear();
-    ws.indeg.extend_from_slice(graph.indegrees());
-    ws.round_done.clear();
-    ws.round_done.resize(num_rounds, 0);
-    if ws.parked.len() < num_rounds {
-        ws.parked.resize_with(num_rounds, Vec::new);
-    }
-    for p in &mut ws.parked[..num_rounds] {
-        p.clear();
-    }
-    if ws.ready_compute.len() < slots {
-        ws.ready_compute.resize_with(slots, BinaryHeap::new);
-    }
-    for h in &mut ws.ready_compute[..slots] {
-        h.clear();
-    }
-    ws.ready_mask.clear();
-    ws.ready_mask.resize(slots.div_ceil(64), 0);
-    ws.ready_mem.clear();
-    ws.wheel.clear();
-    ws.mem_wheel.clear();
-
-    let nodes = trace.nodes();
+    buffers.reset(cfg);
     let mut eng = Engine {
-        barrier: cfg.sync == LaneSync::Barrier,
-        indeg: &mut ws.indeg,
-        round_total: &prepared.round_total,
-        round_done: &mut ws.round_done,
-        current_round: 0,
-        parked: &mut ws.parked,
-        ready_compute: &mut ws.ready_compute,
-        ready_mask: &mut ws.ready_mask,
-        ready_mem: &mut ws.ready_mem,
+        store,
+        b: buffers,
         ready_count: 0,
-        wheel: &mut ws.wheel,
-        mem_wheel: &mut ws.mem_wheel,
         mem_inflight: 0,
         active: 0,
         busy_start: start,
         busy: IntervalSet::new(),
         completed: 0,
         last_retire: start,
-        issued_per_class: [0; 6],
+        issued_per_class: [0; CLASSES],
         mem_rejects: 0,
         events: 0,
     };
-
-    for idx in 0..n {
-        if eng.indeg[idx] == 0 {
-            eng.release(idx, graph, nodes);
-        }
-    }
+    eng.admit()?;
 
     let mut cycle = start;
     let mem_budget = mem_issue_budget(cfg);
     let mut idle_cycles = 0u64;
     let mut stepped = 0u64;
     // Whether the memory system is passive (no autonomous between-cycle
-    // behavior): queried once, it licenses the tightened idle jump below.
+    // behavior): queried once, it licenses the tightened idle jump.
     let mem_passive = mem.is_passive();
 
-    while eng.completed < n {
+    while !(eng.store.exhausted() && eng.completed == eng.store.admitted()) {
         if let Some(limit) = watchdog.max_cycles {
             if cycle.saturating_sub(start) > limit {
                 return Err(SimError::WatchdogExpired {
                     limit,
                     cycle,
                     completed: eng.completed,
-                    total: n,
-                    notes: Vec::new(),
+                    total: eng.store.admitted(),
+                    notes: total_notes::<S>(),
                 });
             }
         }
@@ -555,12 +732,12 @@ pub fn try_schedule_prepared(
         let mut progressed = false;
 
         // 1. Retire wheel (compute + scratchpad) completions due now.
-        while let Some(&Reverse((at, idx))) = eng.wheel.peek() {
+        while let Some(&Reverse((at, idx))) = eng.b.wheel.peek() {
             if at > cycle {
                 break;
             }
-            eng.wheel.pop();
-            eng.retire(idx as usize, at, true, graph, nodes);
+            eng.b.wheel.pop();
+            eng.retire(idx, at, true);
             progressed = true;
         }
 
@@ -568,88 +745,36 @@ pub fn try_schedule_prepared(
         for (id, at) in mem.drain_completions() {
             eng.mem_inflight -= 1;
             if at > cycle {
-                eng.mem_wheel.push(Reverse((at, id as u32)));
+                eng.b.mem_wheel.push(Reverse((at, id as u32)));
             } else {
-                eng.retire(id as usize, at.max(cycle), false, graph, nodes);
+                eng.retire(id as u32, at.max(cycle), false);
                 progressed = true;
             }
         }
-        while let Some(&Reverse((at, idx))) = eng.mem_wheel.peek() {
+        while let Some(&Reverse((at, idx))) = eng.b.mem_wheel.peek() {
             if at > cycle {
                 break;
             }
-            eng.mem_wheel.pop();
-            eng.retire(idx as usize, at, false, graph, nodes);
+            eng.b.mem_wheel.pop();
+            eng.retire(idx, at, false);
             progressed = true;
         }
 
-        // 3. Issue compute: one op per lane per class. Only slots whose
-        // ready heap is non-empty are visited (bitmask), in the same
-        // ascending slot order a full scan would use.
-        for w in 0..eng.ready_mask.len() {
-            let mut word = eng.ready_mask[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + bit;
-                let heap = &mut eng.ready_compute[slot];
-                let Reverse(idx) = heap.pop().expect("set bit implies non-empty heap");
-                if heap.is_empty() {
-                    eng.ready_mask[w] &= !(1u64 << bit);
-                }
-                let node = &nodes[idx as usize];
-                let class = node.opcode.fu_class();
-                eng.wheel
-                    .push(Reverse((cycle + cfg.timing.latency(class), idx)));
-                eng.issued_per_class[class.index()] += 1;
-                eng.begin_busy(cycle);
-                eng.ready_count -= 1;
-                eng.events += 1;
-                progressed = true;
-            }
+        // 3. Admit nodes into the room retirement just freed and release
+        // what retirement unblocked, before the issue phases so either
+        // can issue this cycle. Without a retirement (so far `progressed`
+        // means one) there is nothing to admit or release.
+        if progressed {
+            eng.admit()?;
         }
 
-        // 4. Issue memory ops until the interface pushes back. A bounded
-        // number of candidates is examined per cycle so a long queue of
-        // conflicting accesses cannot make one cycle O(n). The queue is
-        // moved out for the pass so the issue closure can update `eng`.
-        let mut ready_mem = std::mem::take(eng.ready_mem);
-        ready_mem.issue(mem_budget, |idx| {
-            let node = &nodes[idx as usize];
-            let mref = node.mem.expect("memory node has MemRef");
-            let write = mref.kind == MemAccessKind::Write;
-            match mem.issue(u64::from(idx), mref.addr, mref.bytes, write, cycle) {
-                IssueResult::Done { at } => {
-                    eng.wheel.push(Reverse((at, idx)));
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.begin_busy(cycle);
-                    eng.ready_count -= 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Pending => {
-                    // In flight inside the memory system; the datapath op
-                    // is waiting, not occupying a unit, so it does not
-                    // count toward busy time.
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.ready_count -= 1;
-                    eng.mem_inflight += 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Reject => {
-                    eng.mem_rejects += 1;
-                    false
-                }
-            }
-        });
-        *eng.ready_mem = ready_mem;
+        // 4–5. Issue compute, then memory.
+        progressed |= eng.issue_compute(cycle, cfg);
+        progressed |= eng.issue_mem(cycle, mem, mem_budget);
 
         mem.end_cycle(cycle);
 
-        // 5. Advance time, skipping ahead when provably idle.
+        // 6. Advance time, skipping ahead when provably idle.
         if progressed {
             idle_cycles = 0;
         } else {
@@ -658,44 +783,18 @@ pub fn try_schedule_prepared(
                 return Err(SimError::Deadlock(Box::new(DeadlockSnapshot {
                     cycle,
                     completed: eng.completed,
-                    total: n,
+                    total: eng.store.admitted(),
                     idle_cycles,
-                    ready_compute: eng.ready_count - eng.ready_mem.len(),
-                    ready_mem: eng.ready_mem.len(),
-                    wheel: wheel_snapshot(eng.wheel),
-                    mem_wheel: wheel_snapshot(eng.mem_wheel),
+                    ready_compute: eng.ready_count - eng.b.ready_mem.len(),
+                    ready_mem: eng.b.ready_mem.len(),
+                    wheel: wheel_snapshot(&eng.b.wheel),
+                    mem_wheel: wheel_snapshot(&eng.b.mem_wheel),
                     mem_inflight: eng.mem_inflight,
-                    notes: Vec::new(),
+                    notes: total_notes::<S>(),
                 })));
             }
         }
-        cycle = if eng.ready_count == 0 {
-            let wheel_next = match (
-                eng.wheel.peek().map(|&Reverse((at, _))| at),
-                eng.mem_wheel.peek().map(|&Reverse((at, _))| at),
-            ) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let mem_next = mem.next_event_hint(cycle);
-            let wheel_only = eng.completed + eng.wheel.len() + eng.mem_wheel.len() == n;
-            match (wheel_next, mem_next) {
-                (Some(w), Some(m)) => w.min(m).max(cycle + 1),
-                // Only wheel events pending and nothing else in flight:
-                // jump straight to the next completion. With a passive
-                // memory (no autonomous between-cycle behavior) the same
-                // jump is safe whenever no memory op is in flight, even if
-                // dependents are still waiting on those wheel retires —
-                // nothing can become ready before the next retire, and a
-                // passive memory cannot act in the skipped window.
-                (Some(w), None) if wheel_only || (mem_passive && eng.mem_inflight == 0) => {
-                    w.max(cycle + 1)
-                }
-                _ => cycle + 1,
-            }
-        } else {
-            cycle + 1
-        };
+        cycle = eng.next_cycle(cycle, mem, mem_passive);
     }
 
     let end = eng.last_retire.max(start);
@@ -832,8 +931,11 @@ mod tests {
             max_cycles: Some(10),
             no_progress_cycles: 4_000_000,
         };
+        let prepared = PreparedDddg::new(&trace, &cfg);
+        let mut ws = SchedulerWorkspace::new();
         // The chain needs 30 cycles; a 10-cycle ceiling must expire.
-        let err = try_schedule(&trace, &cfg, &mut mem, 0, &wd).unwrap_err();
+        let err =
+            try_schedule_prepared(&trace, &cfg, &prepared, &mut ws, &mut mem, 0, &wd).unwrap_err();
         assert_eq!(err.code(), "L0233");
         assert!(err.to_string().contains("watchdog expired"));
     }
@@ -846,8 +948,19 @@ mod tests {
             partition: 4,
             ..DatapathConfig::default()
         };
+        let prepared = PreparedDddg::new(&trace, &cfg);
+        let mut ws = SchedulerWorkspace::new();
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let fallible = try_schedule(&trace, &cfg, &mut mem, 0, &Watchdog::default()).unwrap();
+        let fallible = try_schedule_prepared(
+            &trace,
+            &cfg,
+            &prepared,
+            &mut ws,
+            &mut mem,
+            0,
+            &Watchdog::default(),
+        )
+        .unwrap();
         let mut mem2 = SpadMemory::new(&trace, &cfg);
         let infallible = schedule(&trace, &cfg, &mut mem2, 0);
         assert_eq!(fallible, infallible);
@@ -931,7 +1044,16 @@ mod tests {
                         ..DatapathConfig::default()
                     };
                     let mut mem = SpadMemory::new(&trace, &cfg);
-                    let fast = schedule_prepared(&trace, &cfg, &prepared, &mut ws, &mut mem, 7);
+                    let fast = try_schedule_prepared(
+                        &trace,
+                        &cfg,
+                        &prepared,
+                        &mut ws,
+                        &mut mem,
+                        7,
+                        &Watchdog::default(),
+                    )
+                    .unwrap();
                     let mut mem2 = SpadMemory::new(&trace, &cfg);
                     let one_shot = schedule(&trace, &cfg, &mut mem2, 7);
                     assert_eq!(fast, one_shot, "lanes={lanes} partition={partition}");
@@ -958,7 +1080,15 @@ mod tests {
         };
         let mut ws = SchedulerWorkspace::new();
         let mut mem = SpadMemory::new(&trace, &cfg);
-        let _ = schedule_prepared(&trace, &cfg, &prepared, &mut ws, &mut mem, 0);
+        let _ = try_schedule_prepared(
+            &trace,
+            &cfg,
+            &prepared,
+            &mut ws,
+            &mut mem,
+            0,
+            &Watchdog::default(),
+        );
     }
 
     #[test]

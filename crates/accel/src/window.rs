@@ -1,53 +1,48 @@
-//! Windowed DDDG construction and scheduling over a node stream.
+//! The window node store: scheduling over a node stream.
 //!
-//! The materialized scheduler ([`try_schedule_prepared`]) needs the whole
-//! trace — `Vec<TraceNode>` plus a [`Dddg`](crate::Dddg) with successor
-//! lists and in-degrees for every node — resident in memory before the
-//! first cycle is simulated. That is the scale bottleneck for
-//! paper-scale++ kernels: a multi-million-node bfs or fft blows out memory
-//! long before the scheduler itself becomes the limit.
+//! A [`PreparedDddg`](crate::PreparedDddg) needs the whole trace —
+//! `Vec<TraceNode>` plus successor lists and in-degrees for every node —
+//! resident before the first cycle is simulated. That is the scale
+//! bottleneck for paper-scale++ kernels: a multi-million-node bfs or fft
+//! blows out memory long before the scheduler itself becomes the limit.
 //!
 //! [`try_schedule_windowed`] instead consumes the trace as an *iterator*
 //! of nodes (typically an `.atrc` reader, see `aladdin_ir::AtrcTrace`) and
-//! keeps only a sliding window of at most `window_nodes` *resident* nodes:
-//! a node is admitted when a slot is free, its dependence edges are
-//! resolved on admission (dependences always point backwards, and
-//! admission is in program order, so an absent dependence has already
-//! retired), and retirement deletes the node and its edge storage. Peak
-//! resident nodes — and therefore graph memory — is O(window), not
-//! O(trace).
+//! runs the scheduler's one cycle loop over a store that keeps at most
+//! `window_nodes` *resident* nodes: a node is admitted when the resident
+//! count is below the window, its dependence edges are resolved on
+//! admission (dependences always point backwards, and admission is in
+//! program order, so an absent dependence has already retired), and
+//! retirement frees the node and recycles its edge storage. Peak resident
+//! nodes — and therefore graph memory — is O(window), not O(trace).
 //!
 //! # Exactness
 //!
-//! The windowed engine replays the materialized engine's per-cycle phase
-//! order exactly, with one extra phase: after retirement and before issue,
-//! it admits nodes from the stream until the window is full. Under the
-//! default [`LaneSync::Barrier`] model, iteration instances are monotone
-//! in program order, so each barrier round occupies a contiguous node-id
-//! range; whenever `window_nodes` is at least the largest round's node
-//! count, every node is admitted no later than the cycle it could first
-//! become ready, and the result — including `stepped_cycles` and busy
-//! intervals — is bit-identical to the materialized path. Smaller windows
-//! (and [`LaneSync::Free`]) remain *sound*: every dependence is still
-//! honored and the schedule completes, but late admission can delay issue,
-//! so cycle counts may differ. The equivalence and property tests in this
-//! module and in `tests/` certify both claims.
+//! The loop admits nodes once per cycle, after retirement and before
+//! issue. Under the default [`LaneSync::Barrier`] model, iteration
+//! instances are monotone in program order, so each barrier round
+//! occupies a contiguous node-id range; whenever `window_nodes` is at
+//! least the largest round's node count, every node is admitted no later
+//! than the cycle it could first become ready, and the result — including
+//! `stepped_cycles` and busy intervals — is bit-identical to the prepared
+//! path. Smaller windows (and [`LaneSync::Free`]) remain *sound*: every
+//! dependence is still honored and the schedule completes, but late
+//! admission can delay issue, so cycle counts may differ. The equivalence
+//! and property tests in this module and in `tests/` certify both claims.
 //!
-//! [`try_schedule_prepared`]: crate::try_schedule_prepared
+//! [`LaneSync::Barrier`]: crate::LaneSync::Barrier
+//! [`LaneSync::Free`]: crate::LaneSync::Free
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::VecDeque;
 use std::iter::Peekable;
 
-use aladdin_faults::{DeadlockSnapshot, SimError, Watchdog};
-use aladdin_ir::{
-    Diagnostic, FuClass, MemAccessKind, MemRef, Opcode, StatsAccumulator, TraceNode, TraceStats,
-};
-use aladdin_mem::IntervalSet;
+use aladdin_faults::{SimError, Watchdog};
+use aladdin_ir::{Diagnostic, MemRef, Opcode, StatsAccumulator, Trace, TraceNode, TraceStats};
 
-use crate::config::{DatapathConfig, LaneSync};
-use crate::meminterface::{DatapathMemory, IssueResult};
-use crate::scheduler::{mem_issue_budget, wheel_snapshot, ReadyMem, ScheduleResult, CLASSES};
+use crate::config::DatapathConfig;
+use crate::meminterface::DatapathMemory;
+use crate::scheduler::{run, Buffers, NodeStore, Rounds, ScheduleResult};
 
 /// Default sliding-window size for streamed scheduling: large enough that
 /// every workload kernel's barrier rounds fit with room to spare (keeping
@@ -56,12 +51,12 @@ use crate::scheduler::{mem_issue_budget, wheel_snapshot, ReadyMem, ScheduleResul
 pub const DEFAULT_WINDOW_NODES: usize = 65_536;
 
 /// Outcome of a windowed scheduling run: the cycle-level schedule plus the
-/// streaming-side observations the materialized path gets for free from
-/// the in-memory trace.
+/// streaming-side observations the prepared path gets for free from the
+/// in-memory trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedOutcome {
-    /// The schedule, field-for-field comparable with the materialized
-    /// engine's result.
+    /// The schedule, field-for-field comparable with the prepared path's
+    /// result.
     pub result: ScheduleResult,
     /// Maximum number of simultaneously resident (admitted, unretired)
     /// nodes — the windowed path's memory ceiling, bounded by the
@@ -72,277 +67,196 @@ pub struct WindowedOutcome {
     pub stats: TraceStats,
 }
 
-/// A resident node: the slice of [`TraceNode`] plus graph state the
-/// engine needs between admission and retirement.
-struct WNode {
+/// An admitted node: the slice of [`TraceNode`] plus the graph state the
+/// loop needs between admission and retirement.
+struct Slot {
     opcode: Opcode,
     mem: Option<MemRef>,
     lane: u32,
     round: u32,
     indeg: u32,
+    resident: bool,
     succs: Vec<u32>,
 }
 
-/// Barrier bookkeeping for one round, kept only while the round can still
-/// matter; completed rounds are popped from the front of the deque.
-#[derive(Default)]
-struct RoundState {
-    done: usize,
-    /// Nodes of this round admitted so far — equals the round's true size
-    /// once the round is finalized (a later round's node was admitted, or
-    /// the stream ended).
-    total: usize,
-    parked: Vec<u32>,
-}
-
-/// Mutable windowed-scheduling state.
-struct WindowEngine {
-    barrier: bool,
+/// Nodes admitted from a stream, resolved against the resident set.
+struct WindowStore<I: Iterator> {
+    nodes: Peekable<I>,
+    window: usize,
     lanes: u32,
-    resident: HashMap<u32, WNode>,
-    /// Barrier rounds, front = `current_round`. Completed rounds are
-    /// popped, so the deque spans only rounds touched by resident nodes.
-    rounds: VecDeque<RoundState>,
-    current_round: u32,
-    /// Highest round any admitted node belongs to; rounds below it are
-    /// finalized (their `total` is exact).
-    max_admitted_round: u32,
-    ready_compute: Vec<BinaryHeap<Reverse<u32>>>,
-    ready_mask: Vec<u64>,
-    ready_mem: ReadyMem,
-    ready_count: usize,
-    wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_wheel: BinaryHeap<Reverse<(u64, u32)>>,
-    mem_inflight: usize,
-    active: usize,
-    busy_start: u64,
-    busy: IntervalSet,
-    completed: u64,
-    last_retire: u64,
-    issued_per_class: [u64; CLASSES],
-    mem_rejects: u64,
-    events: u64,
-    // Admission-side state.
-    admitted: u64,
+    /// Node `base + i` at index `i`, so `base + slots.len()` nodes have
+    /// been admitted. Out-of-order retirement leaves non-resident holes;
+    /// the front is popped once it has retired, so every node below `base`
+    /// has retired.
+    slots: VecDeque<Slot>,
+    base: u32,
+    resident: usize,
+    peak_resident: usize,
+    /// Cleared successor lists of retired nodes, reused at admission.
+    spare_succs: Vec<Vec<u32>>,
     instance: u32,
     last_label: Option<u32>,
     eof: bool,
-    peak_resident: u64,
     stats: StatsAccumulator,
 }
 
-impl WindowEngine {
-    fn enqueue(&mut self, idx: u32) {
-        let node = &self.resident[&idx];
-        if node.opcode.is_memory() {
-            self.ready_mem.push(idx);
-        } else {
-            let slot = node.lane as usize * CLASSES + node.opcode.fu_class().index();
-            self.ready_compute[slot].push(Reverse(idx));
-            self.ready_mask[slot / 64] |= 1u64 << (slot % 64);
-        }
-        self.ready_count += 1;
+impl<I, N> NodeStore for WindowStore<I>
+where
+    I: Iterator<Item = Result<N, Diagnostic>>,
+    N: Borrow<TraceNode>,
+{
+    const TOTAL_NOTE: Option<&'static str> = Some("windowed: total counts admitted nodes only");
+
+    fn opcode(&self, idx: u32) -> Opcode {
+        self.slots[(idx - self.base) as usize].opcode
     }
 
-    /// Make a dependence-free node available, honoring the round barrier.
-    fn release(&mut self, idx: u32) {
-        let r = self.resident[&idx].round;
-        if self.barrier && r > self.current_round {
-            let off = (r - self.current_round) as usize;
-            self.rounds[off].parked.push(idx);
-        } else {
-            self.enqueue(idx);
-        }
+    fn lane(&self, idx: u32) -> u32 {
+        self.slots[(idx - self.base) as usize].lane
     }
 
-    fn begin_busy(&mut self, cycle: u64) {
-        if self.active == 0 {
-            self.busy_start = cycle;
-        }
-        self.active += 1;
+    fn round(&self, idx: u32) -> u32 {
+        self.slots[(idx - self.base) as usize].round
     }
 
-    /// Advance the barrier past every *finalized* round whose nodes have
-    /// all retired, waking the next round's parked nodes. A round's
-    /// `total` is only trustworthy once finalized, so an un-finalized
-    /// front round blocks advancement even when momentarily drained.
-    fn advance_rounds(&mut self) {
-        if !self.barrier {
-            return;
-        }
-        while let Some(front) = self.rounds.front() {
-            let finalized = self.eof || self.current_round < self.max_admitted_round;
-            if !(finalized && front.done == front.total) {
+    fn mem_ref(&self, idx: u32) -> MemRef {
+        self.slots[(idx - self.base) as usize]
+            .mem
+            .expect("memory node has MemRef")
+    }
+
+    /// Admit nodes until the window is full or the stream ends: assign
+    /// each its lane and round (mirroring `Dddg::build`'s
+    /// iteration-instance rule) and resolve its dependence edges against
+    /// the resident set. Then probe (without consuming) whether the stream
+    /// is exhausted, so end-of-trace is known the moment the last node is
+    /// admitted.
+    fn admit(&mut self, rounds: &mut Rounds, released: &mut Vec<u32>) -> Result<(), SimError> {
+        while self.resident < self.window {
+            let Some(item) = self.nodes.next() else {
                 break;
+            };
+            let item = item?;
+            let node: &TraceNode = item.borrow();
+            let id = node.id.index();
+            if id != self.admitted() {
+                return Err(SimError::from(Diagnostic::error(
+                    "L0280",
+                    format!(
+                        "trace stream is not in dense program order: expected node {}, got {id}",
+                        self.admitted()
+                    ),
+                )));
             }
-            self.rounds.pop_front();
-            self.current_round += 1;
-            if let Some(next) = self.rounds.front_mut() {
-                let waiting = std::mem::take(&mut next.parked);
-                for w in waiting {
-                    self.enqueue(w);
+            self.stats.push(node);
+            match self.last_label {
+                Some(l) if l == node.iteration => {}
+                Some(_) => self.instance += 1,
+                None => {}
+            }
+            self.last_label = Some(node.iteration);
+            let round = self.instance / self.lanes;
+            rounds.register(round, 1);
+
+            let mut indeg = 0u32;
+            for dep in &node.deps {
+                let d = dep.index();
+                if d >= id {
+                    return Err(SimError::from(Diagnostic::error(
+                        "L0280",
+                        format!("node {id} depends on non-earlier node {d}"),
+                    )));
+                }
+                // A dependence below `base` or in a hole has already
+                // retired: admission follows program order, so every
+                // earlier node was admitted before this one.
+                if let Some(p) = (d as u32)
+                    .checked_sub(self.base)
+                    .and_then(|off| self.slots.get_mut(off as usize))
+                    .filter(|p| p.resident)
+                {
+                    p.succs.push(id as u32);
+                    indeg += 1;
                 }
             }
-        }
-    }
-
-    /// Retire node `idx` at `cycle`, deleting it and its edge storage.
-    /// `occupied` says whether the node was counted in `active` (true for
-    /// wheel-tracked ops, false for memory ops that completed via the
-    /// memory system).
-    fn retire(&mut self, idx: u32, cycle: u64, occupied: bool) {
-        let node = self
-            .resident
-            .remove(&idx)
-            .expect("retired node is resident");
-        if occupied {
-            self.active -= 1;
-            if self.active == 0 {
-                self.busy
-                    .push(self.busy_start, cycle.max(self.busy_start + 1));
-            }
-        }
-        self.completed += 1;
-        self.events += 1;
-        self.last_retire = self.last_retire.max(cycle);
-        if self.barrier {
-            let off = (node.round - self.current_round) as usize;
-            self.rounds[off].done += 1;
-        }
-
-        for succ in node.succs {
-            let ready = {
-                let s = self
-                    .resident
-                    .get_mut(&succ)
-                    .expect("successor of a resident node is resident");
-                s.indeg -= 1;
-                s.indeg == 0
-            };
-            if ready {
-                self.release(succ);
-            }
-        }
-
-        self.advance_rounds();
-    }
-
-    /// Admit one node: assign its lane and round (mirroring
-    /// `Dddg::build`'s iteration-instance rule), resolve its dependence
-    /// edges against the resident set, and release it if dependence-free.
-    fn admit(&mut self, node: &TraceNode) -> Result<(), Diagnostic> {
-        let id = node.id.index() as u64;
-        if id != self.admitted {
-            return Err(Diagnostic::error(
-                "L0280",
-                format!(
-                    "trace stream is not in dense program order: expected node {}, got {id}",
-                    self.admitted
-                ),
-            ));
-        }
-        self.admitted += 1;
-        self.stats.push(node);
-
-        match self.last_label {
-            Some(l) if l == node.iteration => {}
-            Some(_) => self.instance += 1,
-            None => {}
-        }
-        self.last_label = Some(node.iteration);
-        let lane = self.instance % self.lanes;
-        let round = self.instance / self.lanes;
-        if self.barrier {
-            self.max_admitted_round = self.max_admitted_round.max(round);
-            let off = (round - self.current_round) as usize;
-            while self.rounds.len() <= off {
-                self.rounds.push_back(RoundState::default());
-            }
-            self.rounds[off].total += 1;
-        }
-
-        let idx = node.id.index() as u32;
-        let mut indeg = 0u32;
-        for dep in &node.deps {
-            let d = dep.index() as u32;
-            if u64::from(d) >= id {
-                return Err(Diagnostic::error(
-                    "L0280",
-                    format!("node {id} depends on non-earlier node {d}"),
-                ));
-            }
-            if let Some(p) = self.resident.get_mut(&d) {
-                p.succs.push(idx);
-                indeg += 1;
-            }
-            // An absent dependence has already retired: admission follows
-            // program order, so every earlier node was admitted before us.
-        }
-        self.resident.insert(
-            idx,
-            WNode {
+            self.slots.push_back(Slot {
                 opcode: node.opcode,
                 mem: node.mem,
-                lane,
+                lane: self.instance % self.lanes,
                 round,
                 indeg,
-                succs: Vec::new(),
-            },
-        );
-        if indeg == 0 {
-            self.release(idx);
+                resident: true,
+                succs: self.spare_succs.pop().unwrap_or_default(),
+            });
+            self.resident += 1;
+            if indeg == 0 {
+                released.push(id as u32);
+            }
         }
+        if self.nodes.peek().is_none() {
+            self.eof = true;
+        }
+        self.peak_resident = self.peak_resident.max(self.resident);
         Ok(())
     }
 
-    /// Admit nodes until the window is full or the stream ends, then
-    /// probe (without consuming) whether the stream is exhausted so
-    /// end-of-trace is known the moment the last node is admitted.
-    fn fill<I>(&mut self, iter: &mut Peekable<I>, window: usize) -> Result<(), SimError>
-    where
-        I: Iterator<Item = Result<TraceNode, Diagnostic>>,
-    {
-        while self.resident.len() < window {
-            match iter.next() {
-                Some(Ok(node)) => self.admit(&node)?,
-                Some(Err(d)) => return Err(SimError::from(d)),
-                None => break,
+    fn retire(&mut self, idx: u32, released: &mut Vec<u32>) {
+        let slot = &mut self.slots[(idx - self.base) as usize];
+        slot.resident = false;
+        let mut succs = std::mem::take(&mut slot.succs);
+        for &succ in &succs {
+            let s = &mut self.slots[(succ - self.base) as usize];
+            s.indeg -= 1;
+            if s.indeg == 0 {
+                released.push(succ);
             }
         }
-        if iter.peek().is_none() {
-            self.eof = true;
+        succs.clear();
+        self.spare_succs.push(succs);
+        self.resident -= 1;
+        while self.slots.front().is_some_and(|s| !s.resident) {
+            self.slots.pop_front();
+            self.base += 1;
         }
-        self.peak_resident = self.peak_resident.max(self.resident.len() as u64);
-        Ok(())
+    }
+
+    fn admitted(&self) -> usize {
+        self.base as usize + self.slots.len()
+    }
+
+    fn exhausted(&self) -> bool {
+        self.eof
     }
 }
 
 /// Schedule a stream of trace nodes on the datapath described by `cfg`,
 /// keeping at most `window_nodes` nodes resident — the streaming
-/// counterpart of [`try_schedule_prepared`](crate::try_schedule_prepared).
+/// counterpart of [`try_schedule_prepared`](crate::try_schedule_prepared),
+/// on the same cycle loop.
 ///
-/// `nodes` yields [`TraceNode`]s in dense program order (node 0, 1, 2, …),
-/// as `aladdin_ir::AtrcTrace::nodes()` does; stream items are fallible so
-/// a corrupt `.atrc` block surfaces as a typed diagnostic mid-run instead
-/// of a panic. `window_nodes` is clamped to at least 1.
+/// `nodes` yields [`TraceNode`]s — owned, as `aladdin_ir::AtrcTrace::nodes()`
+/// decodes them, or borrowed, as [`trace_node_stream`] lends them — in
+/// dense program order (node 0, 1, 2, …); stream items are fallible so a
+/// corrupt `.atrc` block surfaces as a typed diagnostic mid-run instead of
+/// a panic. `window_nodes` is clamped to at least 1.
 ///
 /// See the module docs for the exactness guarantee: bit-identical to the
-/// materialized path under [`LaneSync::Barrier`] whenever the window holds
-/// the largest barrier round, sound (all dependences honored) otherwise.
+/// prepared path under [`LaneSync::Barrier`](crate::LaneSync::Barrier)
+/// whenever the window holds the largest barrier round, sound (all
+/// dependences honored) otherwise.
 ///
 /// # Errors
 ///
 /// `SimError::Diag` if the stream yields an error or is not in dense
 /// program order; `SimError::Deadlock` and `SimError::WatchdogExpired`
-/// as for the materialized path, with `total` counting admitted nodes
-/// only (the full trace length is unknown mid-stream).
+/// as for the prepared path, with `total` counting admitted nodes only
+/// (the full trace length is unknown mid-stream).
 ///
 /// # Panics
 ///
 /// Panics if `cfg` is invalid — a configuration bug, detectable
 /// statically before any simulation starts.
-#[allow(clippy::too_many_lines)]
-pub fn try_schedule_windowed<I>(
+pub fn try_schedule_windowed<I, N>(
     nodes: I,
     cfg: &DatapathConfig,
     mem: &mut dyn DatapathMemory,
@@ -351,261 +265,48 @@ pub fn try_schedule_windowed<I>(
     window_nodes: usize,
 ) -> Result<WindowedOutcome, SimError>
 where
-    I: IntoIterator<Item = Result<TraceNode, Diagnostic>>,
+    I: IntoIterator<Item = Result<N, Diagnostic>>,
+    N: Borrow<TraceNode>,
 {
-    let cfg_report = cfg.check();
-    assert!(
-        !cfg_report.has_errors(),
-        "invalid datapath configuration: {}",
-        cfg_report.to_human()
-    );
-    let window = window_nodes.max(1);
-    let lanes = cfg.lanes as usize;
-    let slots = lanes * CLASSES;
-
-    let mut iter = nodes.into_iter().peekable();
-    let mut eng = WindowEngine {
-        barrier: cfg.sync == LaneSync::Barrier,
+    let mut store = WindowStore {
+        nodes: nodes.into_iter().peekable(),
+        window: window_nodes.max(1),
         lanes: cfg.lanes,
-        resident: HashMap::new(),
-        rounds: VecDeque::new(),
-        current_round: 0,
-        max_admitted_round: 0,
-        ready_compute: {
-            let mut v = Vec::with_capacity(slots);
-            v.resize_with(slots, BinaryHeap::new);
-            v
-        },
-        ready_mask: vec![0u64; slots.div_ceil(64)],
-        ready_mem: ReadyMem::default(),
-        ready_count: 0,
-        wheel: BinaryHeap::new(),
-        mem_wheel: BinaryHeap::new(),
-        mem_inflight: 0,
-        active: 0,
-        busy_start: start,
-        busy: IntervalSet::new(),
-        completed: 0,
-        last_retire: start,
-        issued_per_class: [0; CLASSES],
-        mem_rejects: 0,
-        events: 0,
-        admitted: 0,
+        slots: VecDeque::new(),
+        base: 0,
+        resident: 0,
+        peak_resident: 0,
+        spare_succs: Vec::new(),
         instance: 0,
         last_label: None,
         eof: false,
-        peak_resident: 0,
         stats: StatsAccumulator::new(),
     };
-
-    eng.fill(&mut iter, window)?;
-    if eng.admitted == 0 {
-        return Ok(WindowedOutcome {
-            result: ScheduleResult {
-                start,
-                end: start,
-                busy: IntervalSet::new(),
-                issued_per_class: [0; 6],
-                mem_rejects: 0,
-                cycles: 0,
-                stepped_cycles: 0,
-                events: 0,
-            },
-            peak_resident_nodes: 0,
-            stats: eng.stats.finish(),
-        });
-    }
-    eng.advance_rounds();
-
-    let mut cycle = start;
-    let mem_budget = mem_issue_budget(cfg);
-    let mut idle_cycles = 0u64;
-    let mut stepped = 0u64;
-    let mem_passive = mem.is_passive();
-
-    while !(eng.eof && eng.completed == eng.admitted) {
-        if let Some(limit) = watchdog.max_cycles {
-            if cycle.saturating_sub(start) > limit {
-                return Err(SimError::WatchdogExpired {
-                    limit,
-                    cycle,
-                    completed: eng.completed as usize,
-                    total: eng.admitted as usize,
-                    notes: vec!["windowed: total counts admitted nodes only".to_string()],
-                });
-            }
-        }
-        stepped += 1;
-        mem.begin_cycle(cycle);
-        let mut progressed = false;
-
-        // 1. Retire wheel (compute + scratchpad) completions due now.
-        while let Some(&Reverse((at, idx))) = eng.wheel.peek() {
-            if at > cycle {
-                break;
-            }
-            eng.wheel.pop();
-            eng.retire(idx, at, true);
-            progressed = true;
-        }
-
-        // 2. Retire memory-system completions; buffer those not yet due.
-        for (id, at) in mem.drain_completions() {
-            eng.mem_inflight -= 1;
-            if at > cycle {
-                eng.mem_wheel.push(Reverse((at, id as u32)));
-            } else {
-                eng.retire(id as u32, at.max(cycle), false);
-                progressed = true;
-            }
-        }
-        while let Some(&Reverse((at, idx))) = eng.mem_wheel.peek() {
-            if at > cycle {
-                break;
-            }
-            eng.mem_wheel.pop();
-            eng.retire(idx, at, false);
-            progressed = true;
-        }
-
-        // 2b. Admit nodes into the slots retirement just freed. Placed
-        // before the issue phases so a node admitted this cycle can issue
-        // this cycle — the same-cycle parity the exactness argument needs.
-        eng.fill(&mut iter, window)?;
-        eng.advance_rounds();
-
-        // 3. Issue compute: one op per lane per class. Only slots whose
-        // ready heap is non-empty are visited (bitmask), in the same
-        // ascending slot order a full scan would use.
-        for w in 0..eng.ready_mask.len() {
-            let mut word = eng.ready_mask[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + bit;
-                let heap = &mut eng.ready_compute[slot];
-                let Reverse(idx) = heap.pop().expect("set bit implies non-empty heap");
-                if heap.is_empty() {
-                    eng.ready_mask[w] &= !(1u64 << bit);
-                }
-                let class = eng.resident[&idx].opcode.fu_class();
-                eng.wheel
-                    .push(Reverse((cycle + cfg.timing.latency(class), idx)));
-                eng.issued_per_class[class.index()] += 1;
-                eng.begin_busy(cycle);
-                eng.ready_count -= 1;
-                eng.events += 1;
-                progressed = true;
-            }
-        }
-
-        // 4. Issue memory ops until the interface pushes back, bounded
-        // per cycle exactly like the materialized engine.
-        let mut ready_mem = std::mem::take(&mut eng.ready_mem);
-        ready_mem.issue(mem_budget, |idx| {
-            let mref = eng.resident[&idx].mem.expect("memory node has MemRef");
-            let write = mref.kind == MemAccessKind::Write;
-            match mem.issue(u64::from(idx), mref.addr, mref.bytes, write, cycle) {
-                IssueResult::Done { at } => {
-                    eng.wheel.push(Reverse((at, idx)));
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.begin_busy(cycle);
-                    eng.ready_count -= 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Pending => {
-                    eng.issued_per_class[FuClass::Mem.index()] += 1;
-                    eng.ready_count -= 1;
-                    eng.mem_inflight += 1;
-                    eng.events += 1;
-                    progressed = true;
-                    true
-                }
-                IssueResult::Reject => {
-                    eng.mem_rejects += 1;
-                    false
-                }
-            }
-        });
-        eng.ready_mem = ready_mem;
-
-        mem.end_cycle(cycle);
-
-        // 5. Advance time, skipping ahead when provably idle. No new node
-        // can become ready in a skipped window: admission only follows
-        // retirement, and the next retirement is the event jumped to.
-        if progressed {
-            idle_cycles = 0;
-        } else {
-            idle_cycles += 1;
-            if idle_cycles >= watchdog.no_progress_cycles {
-                return Err(SimError::Deadlock(Box::new(DeadlockSnapshot {
-                    cycle,
-                    completed: eng.completed as usize,
-                    total: eng.admitted as usize,
-                    idle_cycles,
-                    ready_compute: eng.ready_count - eng.ready_mem.len(),
-                    ready_mem: eng.ready_mem.len(),
-                    wheel: wheel_snapshot(&eng.wheel),
-                    mem_wheel: wheel_snapshot(&eng.mem_wheel),
-                    mem_inflight: eng.mem_inflight,
-                    notes: vec!["windowed: total counts admitted nodes only".to_string()],
-                })));
-            }
-        }
-        cycle = if eng.ready_count == 0 {
-            let wheel_next = match (
-                eng.wheel.peek().map(|&Reverse((at, _))| at),
-                eng.mem_wheel.peek().map(|&Reverse((at, _))| at),
-            ) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let mem_next = mem.next_event_hint(cycle);
-            let wheel_only = eng.eof
-                && eng.completed + (eng.wheel.len() + eng.mem_wheel.len()) as u64 == eng.admitted;
-            match (wheel_next, mem_next) {
-                (Some(w), Some(m)) => w.min(m).max(cycle + 1),
-                (Some(w), None) if wheel_only || (mem_passive && eng.mem_inflight == 0) => {
-                    w.max(cycle + 1)
-                }
-                _ => cycle + 1,
-            }
-        } else {
-            cycle + 1
-        };
-    }
-
-    let end = eng.last_retire.max(start);
+    let result = run(
+        &mut store,
+        cfg,
+        &mut Buffers::default(),
+        mem,
+        start,
+        watchdog,
+    )?;
     Ok(WindowedOutcome {
-        result: ScheduleResult {
-            start,
-            end,
-            busy: eng.busy,
-            issued_per_class: eng.issued_per_class,
-            mem_rejects: eng.mem_rejects,
-            cycles: end - start,
-            stepped_cycles: stepped,
-            events: eng.events,
-        },
-        peak_resident_nodes: eng.peak_resident,
-        stats: eng.stats.finish(),
+        result,
+        peak_resident_nodes: store.peak_resident as u64,
+        stats: store.stats.finish(),
     })
 }
 
-/// Adapt an in-memory [`Trace`](aladdin_ir::Trace)'s nodes to the
-/// fallible-stream shape [`try_schedule_windowed`] consumes.
-pub fn trace_node_stream(
-    trace: &aladdin_ir::Trace,
-) -> impl Iterator<Item = Result<TraceNode, Diagnostic>> + '_ {
-    trace.nodes().iter().map(|n| Ok(n.clone()))
+/// Lend an in-memory [`Trace`]'s nodes in the fallible-stream shape
+/// [`try_schedule_windowed`] consumes.
+pub fn trace_node_stream(trace: &Trace) -> impl Iterator<Item = Result<&TraceNode, Diagnostic>> {
+    trace.nodes().iter().map(Ok)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LaneSync;
     use crate::meminterface::SpadMemory;
     use crate::scheduler::schedule;
     use aladdin_ir::{ArrayKind, Opcode, TVal, Trace, Tracer};
@@ -705,6 +406,39 @@ mod tests {
                 out.result.issued_per_class.iter().sum::<u64>() as usize,
                 trace.nodes().len()
             );
+        }
+    }
+
+    #[test]
+    fn out_of_order_retirement_leaves_holes_and_stays_bounded() {
+        // A long divide at node 0 outlives the short multiply/add pairs
+        // behind it, so at windows 2–3 the resident ids stop being
+        // contiguous: retired nodes leave holes behind node 0, and later
+        // adds resolve their dependence into a slot past a hole.
+        let mut t = Tracer::new("holes");
+        let div = t.binop(Opcode::FDiv, TVal::lit(1.0), TVal::lit(3.0));
+        for k in 0..8 {
+            let p = t.binop(Opcode::FMul, TVal::lit(f64::from(k)), TVal::lit(2.0));
+            let _ = t.binop(Opcode::FAdd, p, TVal::lit(1.0));
+        }
+        let _ = t.binop(Opcode::FAdd, div, TVal::lit(1.0));
+        let trace = t.finish();
+        let cfg = DatapathConfig::default();
+        let mut mem = SpadMemory::new(&trace, &cfg);
+        let reference = schedule(&trace, &cfg, &mut mem, 0);
+        for window in [2usize, 3] {
+            let out = windowed(&trace, &cfg, window);
+            assert!(
+                out.peak_resident_nodes <= window as u64,
+                "window {window}: peak {}",
+                out.peak_resident_nodes
+            );
+            assert_eq!(
+                out.result.issued_per_class.iter().sum::<u64>() as usize,
+                trace.nodes().len()
+            );
+            assert_eq!(out.stats, trace.stats());
+            assert!(out.result.end >= reference.end, "window {window}");
         }
     }
 

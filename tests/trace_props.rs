@@ -10,7 +10,7 @@
 //! memory-system kind — while any smaller window still completes with a
 //! bounded resident set.
 
-use aladdin_accel::DatapathConfig;
+use aladdin_accel::{DatapathConfig, LaneSync};
 use aladdin_core::{
     simulate, simulate_source, DmaOptLevel, FlowSpec, MemKind, SocConfig, TraceSource,
 };
@@ -129,38 +129,45 @@ fn atrc_round_trips_randomized_traces() {
     }
 }
 
-/// Every kernel × {isolated, dma, cache}: the windowed scheduler with a
-/// trace-covering window reproduces the materialized `FlowResult`
-/// bit-for-bit — both streaming from memory and from encoded `.atrc`
-/// bytes — and reports a resident high-water mark within the window.
+/// Every kernel and 32 randomized traces × {barrier, free} lane sync ×
+/// {isolated, dma, cache}: the windowed scheduler with a trace-covering
+/// window reproduces the materialized `FlowResult` bit-for-bit — both
+/// streaming from memory and from encoded `.atrc` bytes — and reports a
+/// resident high-water mark within the window.
 #[test]
 fn windowed_schedule_is_bit_exact_across_kernels_and_flows() {
     let soc = SocConfig::default();
-    let dp = DatapathConfig {
-        lanes: 4,
-        partition: 4,
-        ..DatapathConfig::default()
-    };
-    for k in all_kernels() {
-        let trace = k.run().trace;
+    let traces = all_kernels()
+        .into_iter()
+        .map(|k| k.run().trace)
+        .chain((0..32u64).map(random_trace));
+    for trace in traces {
         let atrc = AtrcTrace::from_bytes(encode_trace(&trace)).expect("valid bytes");
         let window = trace.nodes().len().max(1);
-        for kind in KINDS {
-            let ctx = format!("{} {kind:?}", k.name());
-            let base = simulate(&trace, &dp, &soc, &FlowSpec::new(kind)).expect("materialized");
-            let spec = FlowSpec::new(kind).with_window(window);
-            let mem = simulate_source(&TraceSource::Memory(&trace), &dp, &soc, &spec)
-                .expect("windowed from memory");
-            assert_eq!(mem.result, base, "{ctx}: memory-streamed");
-            let file = simulate_source(&TraceSource::Atrc(&atrc), &dp, &soc, &spec)
-                .expect("windowed from atrc");
-            assert_eq!(file.result, base, "{ctx}: atrc-streamed");
-            for run in [&mem, &file] {
-                let peak = run.peak_resident_nodes.expect("windowed runs report peak");
-                assert!(
-                    peak <= window as u64,
-                    "{ctx}: peak {peak} > window {window}"
-                );
+        for sync in [LaneSync::Barrier, LaneSync::Free] {
+            let dp = DatapathConfig {
+                lanes: 4,
+                partition: 4,
+                sync,
+                ..DatapathConfig::default()
+            };
+            for kind in KINDS {
+                let ctx = format!("{} {sync:?} {kind:?}", trace.name());
+                let base = simulate(&trace, &dp, &soc, &FlowSpec::new(kind)).expect("materialized");
+                let spec = FlowSpec::new(kind).with_window(window);
+                let mem = simulate_source(&TraceSource::Memory(&trace), &dp, &soc, &spec)
+                    .expect("windowed from memory");
+                assert_eq!(mem.result, base, "{ctx}: memory-streamed");
+                let file = simulate_source(&TraceSource::Atrc(&atrc), &dp, &soc, &spec)
+                    .expect("windowed from atrc");
+                assert_eq!(file.result, base, "{ctx}: atrc-streamed");
+                for run in [&mem, &file] {
+                    let peak = run.peak_resident_nodes.expect("windowed runs report peak");
+                    assert!(
+                        peak <= window as u64,
+                        "{ctx}: peak {peak} > window {window}"
+                    );
+                }
             }
         }
     }
